@@ -1,6 +1,6 @@
 """AST lint over the source tree: project invariants as CI checks.
 
-Four invariants, each of which has silently broken (or nearly broken)
+Six invariants, each of which has silently broken (or nearly broken)
 at least once in this repo's history and is cheap to enforce
 mechanically:
 
@@ -26,6 +26,11 @@ mechanically:
    node the lowering does not dispatch is a construct the parser can
    produce but the back half silently cannot handle (the mirror of
    the MIL interpreter's ``_OPS`` totality assertion).
+6. **One query task kind** — the ``register_task_kind`` call sites
+   under ``src/`` register exactly ``query`` and ``mil``: every
+   front-end's queries run through the one plan-cached, budgeted
+   ``query`` kind, and a second query path (its own cache key, its
+   own budget check) is a regression.
 
 ``run_selfcheck`` returns a list of findings (empty = clean tree);
 ``python -m repro.analysis --selfcheck`` exits non-zero on any.
@@ -82,29 +87,30 @@ def _string_constants(tree):
                and isinstance(node.value, str))
 
 
+def _calls(root, name):
+    """(call node, file) for every call of ``name``/``x.name`` in src."""
+    for path in _python_files(root, SRC_DIR):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Call) and name in (
+                    getattr(node.func, "attr", None),
+                    getattr(node.func, "id", None)):
+                yield node, _rel(root, path)
+
+
+def _literal(node):
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return None
+
+
 # ----------------------------------------------------------------------
 # invariant 1: chaos coverage of declared fault points
 # ----------------------------------------------------------------------
 def _declared_fault_points(root):
     """(point, file, line) for every ``faults.declare(...)`` literal."""
-    points = []
-    for path in _python_files(root, SRC_DIR):
-        for node in ast.walk(_parse(path)):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            named = (isinstance(func, ast.Attribute)
-                     and func.attr == "declare") or \
-                    (isinstance(func, ast.Name)
-                     and func.id == "declare")
-            if not named:
-                continue
-            for arg in node.args:
-                if isinstance(arg, ast.Constant) and \
-                        isinstance(arg.value, str):
-                    points.append((arg.value, _rel(root, path),
-                                   node.lineno))
-    return points
+    return [(_literal(arg), rel, node.lineno)
+            for node, rel in _calls(root, "declare")
+            for arg in node.args if _literal(arg) is not None]
 
 
 def check_chaos_coverage(root):
@@ -308,6 +314,32 @@ def check_sql_lowering_totality(root):
 
 
 # ----------------------------------------------------------------------
+# invariant 6: exactly the query and mil worker task kinds
+# ----------------------------------------------------------------------
+MULTIPROC_MODULE = os.path.join("src", "repro", "monet", "multiproc.py")
+TASK_KINDS = ("mil", "query")
+
+
+def check_task_kinds(root):
+    if not os.path.isfile(os.path.join(root, MULTIPROC_MODULE)):
+        return []
+    sites = [(_literal(node.args[0]) if node.args else None, rel,
+              node.lineno)
+             for node, rel in _calls(root, "register_task_kind")]
+    if sorted(kind for kind, _rel, _line in sites
+              if kind is not None) == list(TASK_KINDS) \
+            and len(sites) == len(TASK_KINDS):
+        return []
+    return [Finding(
+        "error", "task-kinds", None,
+        "the register_task_kind call sites under %s/ must register "
+        "exactly %s, once each; found %s" % (
+            SRC_DIR, " and ".join(TASK_KINDS),
+            ", ".join("%r at %s:%d" % site for site in sites)
+            or "none"))]
+
+
+# ----------------------------------------------------------------------
 def run_selfcheck(root=None):
     """All invariant findings for the tree (empty list = clean)."""
     root = root or repo_root()
@@ -317,4 +349,5 @@ def run_selfcheck(root=None):
     findings += check_bare_excepts(root)
     findings += check_fsync_before_rename(root)
     findings += check_sql_lowering_totality(root)
+    findings += check_task_kinds(root)
     return findings

@@ -13,11 +13,11 @@ once, carrying an abstract environment of
   a *later* statement defines it, a ``use-before-def``) — this is
   exactly the set of plans on which ``MILInterpreter.resolve`` raises;
 * a statement that redefines a catalog BAT **after** an earlier
-  statement read it through the catalog is a ``war-hazard``: the one
-  anti-dependence :func:`~repro.monet.mil.partition_independent` does
-  not track, because it treats catalog references as read-only.  Such
-  a plan is rejected, which is what makes the partitioner's assumption
-  an invariant instead of a convention;
+  statement read it through the catalog is a ``war-hazard``: one name
+  would denote two different BATs within a single plan, so statement
+  order alone would decide what each reader sees.  Such a plan is
+  rejected, which makes "plans treat the catalog as read-only" an
+  invariant instead of a convention;
 * dead statements (results never observed) are reported as warnings
   and exposed through :func:`live_statements`, which is also the
   engine of the optimizer's flag-enabled dead-code elimination;
@@ -28,8 +28,8 @@ once, carrying an abstract environment of
   anything.
 
 The verifier is sound for acceptance: a plan it rejects with an
-``error`` finding is certain to raise at execution time (or to be
-unsafe to partition).  It is deliberately *not* complete — data
+``error`` finding is certain to raise at execution time (or to
+break the read-only-catalog rule).  It is deliberately *not* complete — data
 dependent failures still surface at run time.
 """
 
@@ -300,9 +300,8 @@ def verify_program(program, catalog=None, budget=None, roots=None):
                 findings.append(Finding(
                     "error", "war-hazard", index,
                     "redefines catalog BAT %r after statement %d read "
-                    "it through the catalog — unsafe to partition "
-                    "(violates the read-only-catalog assumption of "
-                    "partition_independent)" % (stmt.target, read_at)))
+                    "it through the catalog — plans must treat the "
+                    "catalog as read-only" % (stmt.target, read_at)))
             else:
                 findings.append(Finding(
                     "warning", "shadows-catalog", index,

@@ -604,9 +604,12 @@ def _multiproc_section(db_dir, procs, serial):
     execution).  Records per-query worker timings/faults, the worker
     pids used, and the pinned catalog generation.
     """
+    from ..server.tasks import run_queries
     started = time.perf_counter()
-    with MultiprocExecutor(db_dir, procs=procs) as executor:
-        outcomes = executor.run_queries()
+    with MultiprocExecutor(
+            db_dir, procs=procs,
+            task_modules=("repro.server.tasks",)) as executor:
+        outcomes = run_queries(executor)
         generation = executor.generation
     wall_ms = (time.perf_counter() - started) * 1000.0
     section = {
@@ -642,11 +645,11 @@ def _multiproc_section(db_dir, procs, serial):
 def _serve_requests():
     """The closed-loop request mix: one entry per TPC-D query.
 
-    Single-statement queries ship as textual Moa requests (their
-    driver is ``db.query(text).rows``, so the served result is
-    checksum-identical to the serial entry and the per-worker plan
-    cache engages); the two-phase queries (a scalar aggregate feeds a
-    literal into the main query) ship as ``tpcd`` requests.
+    Single-statement queries ship as textual Moa requests (their plan
+    is the one-phase plan of that text, so the served result is
+    checksum-identical to the serial entry); the two-phase queries (a
+    scalar aggregate feeds a literal into the main query) ship as
+    ``tpcd`` requests.  Both forms hit the per-worker plan cache.
     """
     requests = []
     for number in sorted(QUERIES):

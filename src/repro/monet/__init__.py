@@ -22,12 +22,10 @@ from .storage import (CatalogLock, HeapStorage, MemoryBackend,
                       MmapBackend, catalog_generation, open_kernel,
                       open_with_protocol, residency_report,
                       residency_snapshot, save_kernel)
-from .mil import (MILInterpreter, MILProgram, MILStmt, MILTrace, Var,
-                  partition_independent)
+from .mil import MILInterpreter, MILProgram, MILStmt, MILTrace, Var
 from .multiproc import (MultiprocExecutor, PendingTask, TaskOutcome,
                         register_task_kind, result_checksum,
-                        run_program_serial, run_queries_multiproc,
-                        ship_value)
+                        run_program_serial, ship_value)
 from .optimizer import Optimizer, dispatch_disabled, get_optimizer
 from .parallel import ParallelConfig
 from .properties import Props, compute_props, synced, verify
@@ -46,10 +44,9 @@ __all__ = [
     "catalog_generation", "open_kernel", "open_with_protocol",
     "residency_report", "residency_snapshot", "save_kernel",
     "MILInterpreter", "MILProgram", "MILStmt", "MILTrace", "Var",
-    "partition_independent",
     "MultiprocExecutor", "PendingTask", "TaskOutcome",
     "register_task_kind", "result_checksum",
-    "run_program_serial", "run_queries_multiproc", "ship_value",
+    "run_program_serial", "ship_value",
     "Optimizer", "dispatch_disabled", "get_optimizer",
     "Props", "compute_props", "synced", "verify",
 ]

@@ -18,11 +18,10 @@ of **worker processes**; each worker
   :class:`~repro.monet.buffer.BufferManager`, so simulated fault
   accounting stays per-worker and is shipped back with each result.
 
-Tasks are whole TPC-D queries (:meth:`MultiprocExecutor.run_queries`)
-or MIL programs (:meth:`MultiprocExecutor.run_programs`); a straight-
-line program can additionally be split into dependency-independent
-partitions (:func:`repro.monet.mil.partition_independent`) and fanned
-statement-group-wise (:meth:`MultiprocExecutor.run_partitioned`).
+The built-in task kind is ``mil``: a whole MIL program per task
+(:meth:`MultiprocExecutor.run_programs`).  Queries — Moa text, SQL
+text or a TPC-D number — run as the ``query`` kind that
+:mod:`repro.server.tasks` registers (see "Task kinds" below).
 
 Result shipping
 ---------------
@@ -56,11 +55,15 @@ one parent-side pump thread per worker) instead of delegating to
   transparently (the task that found it dead never started, so it is
   retried on the replacement).  Either way the pool keeps serving.
 
-Task kinds beyond the built-in ``query``/``mil`` are pluggable:
+Task kinds
+----------
+
+Task kinds beyond the built-in ``mil`` are pluggable:
 :func:`register_task_kind` adds a handler, and ``task_modules`` names
 modules the workers import at start-up so registrations exist in every
-process under both ``fork`` and ``spawn`` (the server registers its
-plan-cached ``moa`` kind this way, see :mod:`repro.server.tasks`).
+process under both ``fork`` and ``spawn``.  The one other kind is the
+plan-cached ``query`` kind of :mod:`repro.server.tasks`; the analysis
+selfcheck keeps the registered set at exactly those two.
 """
 
 import hashlib
@@ -76,12 +79,12 @@ import numpy as np
 from .. import faults
 from ..errors import MILError, QueryTimeoutError, WorkerCrashedError
 from .buffer import BufferManager, BufferStats, set_manager
-from .mil import MILInterpreter, partition_independent
+from .mil import MILInterpreter
 
 __all__ = [
     "MultiprocExecutor", "PendingTask", "TaskOutcome", "WorkerContext",
     "default_start_method", "register_task_kind", "result_checksum",
-    "run_program_serial", "run_queries_multiproc", "ship_value",
+    "run_program_serial", "ship_value",
 ]
 
 DEFAULT_PROCS = 2
@@ -218,7 +221,7 @@ class TaskOutcome:
         self.stats = stats
         self.generation = generation
         self.pid = pid
-        #: handler-specific metadata (e.g. the server's ``moa`` kind
+        #: handler-specific metadata (e.g. the server's ``query`` kind
         #: ships ``plan_cached`` + cumulative plan-cache stats here)
         self.extra = extra
 
@@ -351,16 +354,6 @@ def _worker_db():
     return _STATE["db"]
 
 
-def _task_query_warmup(ctx, task):
-    ctx.db()
-
-
-def _task_query(ctx, task):
-    from ..tpcd.queries import QUERIES
-    _kind, _key, number, overrides = task
-    return ship_value(QUERIES[number].run(ctx.db(), overrides)), None
-
-
 def _task_mil_warmup(ctx, task):
     ctx.kernel()
 
@@ -373,7 +366,6 @@ def _task_mil(ctx, task):
             for name in fetch}, None
 
 
-register_task_kind("query", _task_query, warmup=_task_query_warmup)
 register_task_kind("mil", _task_mil, warmup=_task_mil_warmup)
 
 
@@ -812,22 +804,6 @@ class MultiprocExecutor:
                     for task in tasks]
         return [pending.result() for pending in pendings]
 
-    def run_queries(self, numbers=None, overrides=None):
-        """Fan TPC-D queries over the workers.
-
-        ``numbers`` defaults to the whole query set; ``overrides`` is
-        an optional ``{number: params}`` dict.  Returns ``{number:
-        TaskOutcome}``.
-        """
-        if numbers is None:
-            from ..tpcd.queries import QUERIES
-            numbers = sorted(QUERIES)
-        numbers = list(numbers)       # consumed twice: tasks + zip
-        tasks = [("query", "q%d" % number, number,
-                  (overrides or {}).get(number)) for number in numbers]
-        outcomes = self.map_tasks(tasks)
-        return dict(zip(numbers, outcomes))
-
     def run_programs(self, jobs):
         """Execute whole MIL programs, one per task.
 
@@ -839,33 +815,6 @@ class MultiprocExecutor:
         tasks = [("mil", "p%d" % index, program, list(fetch))
                  for index, (program, fetch) in enumerate(jobs)]
         return self.map_tasks(tasks)
-
-    def run_partitioned(self, program, fetch):
-        """Split one MIL program into independent partitions and fan
-        them out (:func:`repro.monet.mil.partition_independent`).
-
-        Every partition executes — including ones that define no
-        fetched variable, keeping error behaviour identical to the
-        serial run.  Returns ``(env, outcomes)`` where ``env`` maps
-        each fetched variable to its canonical shipped value.
-        """
-        fetch = list(fetch)
-        parts = partition_independent(program)
-        jobs = []
-        for part in parts:
-            defined = set(part.defined_vars())
-            jobs.append((part, [name for name in fetch
-                                if name in defined]))
-        missing = set(fetch) - {name for _part, names in jobs
-                                for name in names}
-        if missing:
-            raise MILError("program never assigns fetched variable(s) "
-                           "%s" % sorted(missing))
-        outcomes = self.run_programs(jobs)
-        env = {}
-        for outcome in outcomes:
-            env.update(outcome.value())
-        return env, outcomes
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -913,20 +862,12 @@ class MultiprocExecutor:
             self.terminate()
 
 
-def run_queries_multiproc(db_dir, numbers=None, procs=DEFAULT_PROCS,
-                          **kwargs):
-    """One-shot convenience: fan queries over a fresh executor."""
-    with MultiprocExecutor(db_dir, procs=procs, **kwargs) as executor:
-        return executor.run_queries(numbers)
-
-
 def run_program_serial(kernel, program, fetch):
     """Serial reference execution of a MIL program.
 
     Returns ``(env, checksum)`` in the same canonical form the workers
     ship, so callers can diff a serial run against
-    :meth:`MultiprocExecutor.run_partitioned` /
-    :meth:`~MultiprocExecutor.run_programs` byte for byte.
+    :meth:`MultiprocExecutor.run_programs` byte for byte.
     """
     interpreter = MILInterpreter(kernel)
     interpreter.run(program)

@@ -16,8 +16,9 @@ the multi-process dispatcher:
   with a typed :class:`~repro.errors.ServerOverloadedError`; when a
   ``plan_budget`` is configured, ``mil`` plans are additionally
   **statically verified and budget-checked** before admission (and
-  ``moa`` plans after worker-side compilation), so a malformed or
-  over-budget plan answers a typed error without executing anything;
+  ``moa``/``sql``/``tpcd`` plans after worker-side compilation), so a
+  malformed or over-budget plan answers a typed error without
+  executing anything;
 * **per-query timeout** — forwarded to the dispatcher, which kills
   and respawns the worker running an overdue query
   (:class:`~repro.errors.QueryTimeoutError`);
@@ -46,8 +47,10 @@ from ..errors import (ProtocolError, ServerOverloadedError,
 from ..monet.buffer import BufferStats
 from ..monet.multiproc import MultiprocExecutor
 from ..monet.storage import as_backend, catalog_generation
+from ..tpcd.queries import QUERIES
 from .cache import ResultCache
 from .protocol import decode_program, payload_nbytes
+from .tasks import FORMS, canonical_source
 
 #: Sliding-window size for latency percentiles.
 LATENCY_WINDOW = 4096
@@ -113,8 +116,9 @@ class QueryService:
         admission (``None`` = unlimited).  ``mil`` plans are verified
         and budget-checked parent-side — before the admission queue,
         before any worker sees them — against stats derived from the
-        catalog manifest alone; ``moa`` plans are budget-checked in
-        the worker right after compilation, before execution.  Either
+        catalog manifest alone; ``moa``, ``sql`` and ``tpcd`` plans
+        are budget-checked in the worker right after compilation,
+        before execution.  Either
         way an over-budget plan answers a typed
         :class:`~repro.errors.PlanBudgetExceededError` (and a
         malformed ``mil`` plan a
@@ -292,20 +296,12 @@ class QueryService:
         with self._stats_lock:
             self._seq += 1
             key = "s%d" % self._seq
-        if rtype == "moa":
-            text = request.get("query")
-            if not isinstance(text, str) or not text.strip():
-                raise ProtocolError("moa request needs a 'query' text")
-            return ("moa", key, text), json.dumps(
-                ["moa", text], sort_keys=True)
-        if rtype == "sql":
-            text = request.get("query")
-            if not isinstance(text, str) or not text.strip():
-                raise ProtocolError("sql request needs a 'query' text")
-            return ("sql", key, text), json.dumps(
-                ["sql", text], sort_keys=True)
-        if rtype == "tpcd":
-            from ..tpcd.queries import QUERIES
+        if rtype in ("moa", "sql"):
+            source = request.get("query")
+            if not isinstance(source, str) or not source.strip():
+                raise ProtocolError("%s request needs a 'query' text"
+                                    % rtype)
+        elif rtype == "tpcd":
             number = request.get("number")
             if not isinstance(number, int):
                 raise ProtocolError(
@@ -316,8 +312,10 @@ class QueryService:
             params = request.get("params")
             if params is not None and not isinstance(params, dict):
                 raise ProtocolError("tpcd 'params' must be an object")
-            return ("query", key, number, params), json.dumps(
-                ["tpcd", number, params], sort_keys=True)
+            source = (number, params)
+        if rtype in FORMS:
+            return ("query", key, rtype, source), json.dumps(
+                [rtype, canonical_source(rtype, source)])
         if rtype == "mil":
             program = decode_program(request.get("program"))
             fetch = request.get("fetch")

@@ -1,41 +1,73 @@
-"""Worker-side task kinds of the query service.
+"""The worker-side ``query`` task kind of the query service.
 
-This module is imported *inside every worker process* of the service's
-warm pools (via ``MultiprocExecutor(task_modules=
-("repro.server.tasks",))``), registering the ``moa`` and ``sql``
-task kinds with the dispatcher's registry.  Keeping it out of
-:mod:`repro.monet.multiproc` preserves the layering: the monet layer
-never imports the moa/server layers at module scope.
+Every worker process of the service's warm pools imports this module
+(``MultiprocExecutor(task_modules=("repro.server.tasks",))``), which
+registers the one task kind that runs queries; ``mil`` tasks, whose
+input is already a MIL program, stay in :mod:`repro.monet.multiproc`,
+and the monet layer never imports the moa/server layers.
 
-``moa`` tasks — ``("moa", key, query_text)`` — execute a textual MOA
-query against the worker's pinned-generation TPC-D catalog through a
-per-worker **LRU plan cache**: query text + catalog generation ->
-compiled :class:`~repro.moa.rewriter.RewriteResult` (flattened MIL
-program + result rep).  A hit skips parse/typecheck/rewrite entirely
-and re-executes the cached MIL plan
-(:meth:`~repro.moa.session.MOADatabase.run_compiled`).  The key
-carries the generation the worker is pinned to, so a pool serving a
-newer snapshot can never resurrect a stale plan — invalidation on
-generation bump falls out of the keying (new generation = new pool =
-cold cache, and any shared cache keyed this way misses).
+A ``("query", key, form, source)`` task runs one query whatever
+front-end it came in through: ``form`` is ``moa`` (``source`` is Moa
+text), ``sql`` (SQL text) or ``tpcd`` (``(number, params)``).  Each
+form lowers to the one :class:`~repro.moa.plan.LoweredQuery`, prepared
+as a :class:`~repro.moa.plan.PreparedPlan` and kept in a per-worker
+**LRU plan cache** under ``(form, canonical source, generation)``.  A
+miss compiles and budget-checks the hole-free phases before the plan
+enters the cache, so a rejected plan is never cached; a hit re-runs
+the compiled MIL.  The generation in the key means a pool serving a
+newer snapshot can never resurrect a stale plan.
 
 Each outcome ships ``extra = {"plan_cached": bool, "plan_cache":
 {hits, misses, evictions, size, capacity}, "result_bytes": int}`` —
-the cumulative counters of *this worker's* cache plus the canonical
-byte weight of the result (what the wire/result-cache layers charge
-for it) — which the parent-side service aggregates into the
-``stats`` response.
+this worker's cumulative cache counters plus the canonical byte
+weight of the result — which the service aggregates into ``stats``.
 """
 
-from ..analysis.verify import (PlanBudget, catalog_stats_from_kernel,
-                               check_program)
+import json
+
+from ..analysis.verify import PlanBudget, catalog_stats_from_kernel
+from ..errors import ProtocolError
+from ..moa.plan import PreparedPlan, moa_plan
 from ..monet.multiproc import register_task_kind, ship_value
+from ..tpcd.queries import QUERIES
 from .cache import LRUCache
 from .protocol import payload_nbytes
 
 #: Default per-worker plan-cache capacity (overridable through the
 #: executor's ``worker_options={"plan_cache_size": N}``).
 DEFAULT_PLAN_CACHE_SIZE = 64
+
+#: The front-ends a ``query`` task accepts.
+FORMS = ("moa", "sql", "tpcd")
+
+
+def canonical_source(form, source):
+    """The cache identity of a query source: the text itself, or for
+    ``tpcd`` the number with its parameters completed from the
+    defaults, so ``None``, ``{}`` and the explicit defaults agree."""
+    if form == "tpcd":
+        number, params = source
+        return json.dumps([number, QUERIES[number].params(params)],
+                          sort_keys=True)
+    return source
+
+
+def lower(form, source):
+    """The phase plan of ``source`` in front-end ``form``."""
+    if form == "moa":
+        return moa_plan(source)
+    if form == "sql":
+        from ..sql.lower import lower_sql
+        from ..sql.parser import parse_sql
+        return lower_sql(parse_sql(source))
+    if form == "tpcd":
+        number, params = source
+        try:
+            return QUERIES[number].plan(params)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ProtocolError("bad params for TPC-D query %d: %r"
+                                % (number, exc)) from exc
+    raise ProtocolError("unknown query form %r" % (form,))
 
 
 def _plan_cache(ctx):
@@ -57,34 +89,25 @@ def _plan_budget(ctx):
                       max_pages=options.get("max_pages"))
 
 
-def _moa_warmup(ctx, task):
+def _query_warmup(ctx, task):
     ctx.db()
 
 
-def _run_sql(ctx, task):
-    """``sql`` tasks — ``("sql", key, sql_text)`` — run SQL text
-    through the front-end (parse -> bind -> lower -> the same
-    resolve/rewrite/verify/execute pipeline as ``moa``).  The worker's
-    plan cache holds the :class:`~repro.sql.runtime.PreparedSql`
-    (hole-free phases pre-compiled and budget-checked) under
-    ``("sql", text, generation)``, so the key space is disjoint from
-    the ``moa`` entries while sharing the same LRU capacity and
-    counters."""
-    _kind, _key, text = task
+def _run_query(ctx, task):
+    _kind, _key, form, source = task
     db = ctx.db()
     cache = _plan_cache(ctx)
-    key = ("sql", text, ctx.generation)
+    key = (form, canonical_source(form, source), ctx.generation)
     prepared = cache.get(key)
     hit = prepared is not None
     if not hit:
-        from ..sql.runtime import prepare_sql
         budget = _plan_budget(ctx)
         catalog = catalog_stats_from_kernel(db.kernel) \
             if budget is not None else None
         # an over-budget or malformed query raises here, before the
-        # put: a rejected SQL plan never enters the cache either
-        prepared = prepare_sql(db, text, budget=budget,
-                               catalog=catalog)
+        # put: a rejected plan never enters the cache
+        prepared = PreparedPlan(db, lower(form, source), budget=budget,
+                                catalog=catalog)
         cache.put(key, prepared)
     value = prepared.run()
     extra = {"plan_cached": hit, "plan_cache": cache.snapshot(),
@@ -92,31 +115,20 @@ def _run_sql(ctx, task):
     return ship_value(value), extra
 
 
-def _run_moa(ctx, task):
-    _kind, _key, text = task
-    db = ctx.db()
-    cache = _plan_cache(ctx)
-    key = (text, ctx.generation)
-    compiled = cache.get(key)
-    hit = compiled is not None
-    if not hit:
-        _resolved, compiled = db.compile(text)
-        # budget check between compile and execute: the rewriter has
-        # already type-verified the plan, this enforces the service's
-        # static admission budget before a single statement runs.  A
-        # rejected plan never enters the cache, so every resubmission
-        # is re-checked (and re-rejected) the same way.
-        budget = _plan_budget(ctx)
-        if budget is not None:
-            check_program(compiled.program,
-                          catalog=catalog_stats_from_kernel(db.kernel),
-                          budget=budget)
-        cache.put(key, compiled)
-    value = db.run_compiled(compiled)
-    extra = {"plan_cached": hit, "plan_cache": cache.snapshot(),
-             "result_bytes": payload_nbytes(value)}
-    return ship_value(value), extra
+register_task_kind("query", _run_query, warmup=_query_warmup)
 
 
-register_task_kind("moa", _run_moa, warmup=_moa_warmup)
-register_task_kind("sql", _run_sql, warmup=_moa_warmup)
+def run_queries(executor, numbers=None, overrides=None):
+    """Fan TPC-D queries over ``executor``'s workers as ``tpcd``
+    query tasks.
+
+    The executor's workers must import this module
+    (``task_modules=("repro.server.tasks",)``).  ``numbers`` defaults
+    to the whole query set; ``overrides`` is an optional ``{number:
+    params}`` dict.  Returns ``{number: TaskOutcome}``.
+    """
+    numbers = sorted(QUERIES) if numbers is None else list(numbers)
+    tasks = [("query", "q%d" % number, "tpcd",
+              (number, (overrides or {}).get(number)))
+             for number in numbers]
+    return dict(zip(numbers, executor.map_tasks(tasks)))

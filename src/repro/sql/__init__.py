@@ -12,8 +12,8 @@ oracle (:mod:`repro.sql.oracle`) over the same generated data.
 from .ast import NODE_CLASSES
 from .lower import lower_sql
 from .parser import parse_sql
-from .runtime import (Hole, LoweredQuery, MoaPhase, PhaseRef,
-                      PreparedSql, PyPhase, execute_sql, prepare_sql)
+from ..moa.plan import Hole, LoweredQuery, MoaPhase, PhaseRef, PyPhase
+from .runtime import PreparedSql, execute_sql, prepare_sql
 
 __all__ = [
     "NODE_CLASSES", "parse_sql", "lower_sql", "prepare_sql",

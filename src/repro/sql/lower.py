@@ -15,10 +15,11 @@ asserts checksum equality):
   ``IN (select …)`` / ``EXISTS`` become semijoins (antijoins when
   negated), exactly the Moa Q3/Q4 shape.
 * Uncorrelated scalar subqueries become earlier *phases* whose value
-  is substituted as a typed literal (a :class:`~.runtime.Hole`) —
-  the Q11/Q14/Q15 two-phase driver pattern.  Correlated aggregate
-  subqueries on equality decorrelate into a group-by + join, the Moa
-  Q2 ``join[<%2.part, %2.cost>, <part, mincost>]`` shape.
+  is substituted as a typed literal (a
+  :class:`~repro.moa.plan.Hole`) — the Q11/Q14/Q15 two-phase
+  pattern.  Correlated aggregate subqueries on equality decorrelate
+  into a group-by + join, the Moa Q2
+  ``join[<%2.part, %2.cost>, <part, mincost>]`` shape.
 * GROUP BY lowers to ``nest`` + a projection whose aggregate items
   run over the nested group (``sum(project[…](%group))``); HAVING
   becomes a select over the projected aggregates (Q11), falling back
@@ -37,7 +38,7 @@ from . import ast
 from .binder import (Scope, check_comparable, derived_table, kind_of,
                      output_name)
 from .catalog import TABLES
-from .runtime import Hole, LoweredQuery, MoaPhase, PhaseRef, PyPhase
+from ..moa.plan import Hole, LoweredQuery, MoaPhase, PhaseRef, PyPhase
 
 _AGGS = ("sum", "count", "avg", "min", "max")
 
@@ -977,7 +978,7 @@ def _atom_for(kind):
 
 
 def lower_sql(stmt):
-    """Lower a bound SQL AST to a :class:`~.runtime.LoweredQuery`."""
+    """Lower a bound SQL AST to a :class:`~repro.moa.plan.LoweredQuery`."""
     if not isinstance(stmt, ast.SelectStmt):
         raise SqlUnsupportedError("only SELECT statements are supported")
     phases = []

@@ -1,11 +1,12 @@
 """The TPC-D queries Q1-Q15 in MOA (paper Figure 9).
 
 Each query is a :class:`TPCDQuery`: its Figure 9 comment, the MOA
-text(s), and a driver that executes it against a
-:class:`~repro.moa.session.MOADatabase`.  Most queries are a single
-MOA expression; Q11, Q14 and Q15 are *two-phase* (a scalar aggregate
-feeds a literal into the main query), matching how the paper's
-hand-translated scripts handled SQL's scalar subqueries.
+text(s), and the phase plan (:mod:`repro.moa.plan`) it builds from
+its parameters — the same plan object the Moa and SQL front-ends
+produce.  Most queries are a single MOA expression; Q11, Q14 and Q15
+are *two-phase* (a scalar aggregate feeds a literal into the main
+query), matching how the paper's hand-translated scripts handled
+SQL's scalar subqueries.
 
 ``item_selectivity`` reproduces Figure 9's "Item select%" column: the
 fraction of the Item extent satisfying the query's Item-level
@@ -14,20 +15,28 @@ predicates (``n.a.`` for the two queries that never touch Item).
 
 import numpy as np
 
+from ..moa import ast as moa_ast
+from ..moa.parser import parse
+from ..moa.plan import (Hole, LoweredQuery, MoaPhase, PhaseRef,
+                        PreparedPlan, PyPhase, moa_plan, substitute)
 from .dbgen import CURRENT_DATE  # noqa: F401  (re-exported for params)
 
 _REVENUE = "*(extendedprice, -(1.0, discount))"
 
 
 class TPCDQuery:
-    """One TPC-D query: number, Figure 9 comment, MOA driver."""
+    """One TPC-D query: number, Figure 9 comment, MOA plan.
 
-    def __init__(self, number, comment, texts_fn, run_fn,
+    ``plan_fn(params)`` builds the phase plan of a multi-phase query;
+    a single-text query's plan is the one-phase plan of its text.
+    """
+
+    def __init__(self, number, comment, texts_fn, plan_fn=None,
                  selectivity_fn=None, defaults=None):
         self.number = number
         self.comment = comment
         self._texts_fn = texts_fn
-        self._run_fn = run_fn
+        self._plan_fn = plan_fn
         self._selectivity_fn = selectivity_fn
         self.defaults = defaults or {}
 
@@ -41,9 +50,17 @@ class TPCDQuery:
         """The MOA query text(s) (placeholders resolved)."""
         return self._texts_fn(self.params(overrides))
 
+    def plan(self, overrides=None):
+        """The query's :class:`~repro.moa.plan.LoweredQuery`."""
+        params = self.params(overrides)
+        if self._plan_fn is not None:
+            return self._plan_fn(params)
+        [text] = self._texts_fn(params)
+        return moa_plan(text)
+
     def run(self, db, overrides=None):
         """Execute against a loaded MOADatabase; returns result rows."""
-        return self._run_fn(db, self.params(overrides))
+        return PreparedPlan(db, self.plan(overrides)).run()
 
     def item_selectivity(self, dataset, overrides=None):
         """Fraction of Item touched by the main selection, or None."""
@@ -55,15 +72,28 @@ class TPCDQuery:
         return "TPCDQuery(Q%d: %s)" % (self.number, self.comment)
 
 
-def _single(text_builder):
-    """texts_fn/run_fn pair for plain one-statement queries."""
-    def texts(params):
-        return [text_builder(params)]
+def _threshold_phase(text, index):
+    """The moa phase of ``text`` with its threshold literal (``0.0``
+    in the text :meth:`TPCDQuery.texts` shows) replaced by a hole for
+    phase ``index``'s value."""
+    holes = []
 
-    def run(db, params):
-        return db.query(text_builder(params)).rows
+    def replace(node):
+        if isinstance(node, moa_ast.Literal) and node.value == 0.0 \
+                and node.atom_name == "double":
+            holes.append(Hole(index, "double"))
+            return holes[-1]
+        return None
 
-    return texts, run
+    tree = substitute(parse(text), replace)
+    assert len(holes) == 1, "threshold literal must be unique"
+    return MoaPhase(tree)
+
+
+def _scaled(index, factor):
+    """py phase: phase ``index``'s value times ``factor``."""
+    return PyPhase(moa_ast.BinOp("*", PhaseRef(index),
+                                 moa_ast.Literal(factor, "double")))
 
 
 # ----------------------------------------------------------------------
@@ -195,10 +225,6 @@ sum(project[*(extendedprice, discount)](
 """ % params
 
 
-def _q6_run(db, params):
-    return db.query(_q6_text(params)).rows
-
-
 def _q6_selectivity(dataset, params):
     from ..monet.atoms import date_to_days
     item = dataset.tables["item"]
@@ -328,25 +354,26 @@ def _q11_total_text(params):
             % _q11_german_supplies(params))
 
 
-def _q11_main_text(params, threshold):
+def _q11_main_text(params):
     grouped = ("nest[part](project[<%%2.part : part, "
                "*(%%2.cost, %%2.available) : pvalue>](%s))"
                % _q11_german_supplies(params))
     return """
 sort[stock desc](
- select[>(stock, %(threshold)r)](
+ select[>(stock, 0.0)](
   project[<part : part, sum(project[pvalue](%%group)) : stock>](%(g)s)))
-""" % {"threshold": float(threshold), "g": grouped}
+""" % {"g": grouped}
 
 
 def _q11_texts(params):
-    return [_q11_total_text(params), _q11_main_text(params, 0.0)]
+    return [_q11_total_text(params), _q11_main_text(params)]
 
 
-def _q11_run(db, params):
-    total = db.query(_q11_total_text(params)).rows
-    threshold = float(total) * params["fraction"]
-    return db.query(_q11_main_text(params, threshold)).rows
+def _q11_plan(params):
+    return LoweredQuery([
+        MoaPhase(parse(_q11_total_text(params))),
+        _scaled(0, float(params["fraction"])),
+        _threshold_phase(_q11_main_text(params), 1)])
 
 
 # ----------------------------------------------------------------------
@@ -424,10 +451,14 @@ def _q14_texts(params):
     return [_q14_promo_text(params), _q14_total_text(params)]
 
 
-def _q14_run(db, params):
-    promo = float(db.query(_q14_promo_text(params)).rows)
-    total = float(db.query(_q14_total_text(params)).rows)
-    return 100.0 * promo / total if total else 0.0
+def _q14_plan(params):
+    # 100 * promo / total, with x / 0 -> 0.0 (see eval_py)
+    a = moa_ast
+    share = a.BinOp("/", a.BinOp("*", a.Literal(100.0, "double"),
+                                 PhaseRef(0)), PhaseRef(1))
+    return LoweredQuery([MoaPhase(parse(_q14_promo_text(params))),
+                         MoaPhase(parse(_q14_total_text(params))),
+                         PyPhase(share)])
 
 
 def _q14_selectivity(dataset, params):
@@ -453,25 +484,26 @@ def _q15_max_text(params):
     return "max(project[total_revenue](%s))" % _q15_revenue_set(params)
 
 
-def _q15_main_text(params, threshold):
+def _q15_main_text(params):
     return """
 sort[s_name asc](
  project[<supplier.name : s_name, supplier.address : s_address,
           supplier.phone : s_phone, total_revenue : total_revenue>](
-  select[>=(total_revenue, %(threshold)r)](%(revs)s)))
-""" % {"threshold": float(threshold), "revs": _q15_revenue_set(params)}
+  select[>=(total_revenue, 0.0)](%(revs)s)))
+""" % {"revs": _q15_revenue_set(params)}
 
 
 def _q15_texts(params):
-    return [_q15_max_text(params), _q15_main_text(params, 0.0)]
+    return [_q15_max_text(params), _q15_main_text(params)]
 
 
-def _q15_run(db, params):
-    best = db.query(_q15_max_text(params)).rows
-    if best is None:
-        return []
-    return db.query(_q15_main_text(params,
-                                   float(best) * (1 - 1e-9))).rows
+def _q15_plan(params):
+    # revenue >= max * (1 - 1e-9); no shipped items -> a NULL max,
+    # which empties the main phase's select
+    return LoweredQuery([
+        MoaPhase(parse(_q15_max_text(params))),
+        _scaled(0, 1 - 1e-9),
+        _threshold_phase(_q15_main_text(params), 1)])
 
 
 def _q15_selectivity(dataset, params):
@@ -486,8 +518,8 @@ def _q15_selectivity(dataset, params):
 # registry
 # ----------------------------------------------------------------------
 def _q(number, comment, builder, selectivity, defaults):
-    texts, run = _single(builder)
-    return TPCDQuery(number, comment, texts, run, selectivity, defaults)
+    return TPCDQuery(number, comment, lambda params: [builder(params)],
+                     None, selectivity, defaults)
 
 
 QUERIES = {
@@ -501,10 +533,10 @@ QUERIES = {
           _q4_selectivity, {"d1": "1993-07-01", "d2": "1993-10-01"}),
     5: _q(5, "revenue per local supplier", _q5_text, _q5_selectivity,
           {"region": "ASIA", "d1": "1994-01-01", "d2": "1995-01-01"}),
-    6: TPCDQuery(6, "benefits if discounts abolished",
-                 lambda p: [_q6_text(p)], _q6_run, _q6_selectivity,
-                 {"d1": "1994-01-01", "d2": "1995-01-01",
-                  "disc_lo": "0.05", "disc_hi": "0.07", "qty": 24}),
+    6: _q(6, "benefits if discounts abolished", _q6_text,
+          _q6_selectivity, {"d1": "1994-01-01", "d2": "1995-01-01",
+                            "disc_lo": "0.05", "disc_hi": "0.07",
+                            "qty": 24}),
     7: _q(7, "value of shipped goods between 2 nations", _q7_text,
           _q7_selectivity, {"nation1": "FRANCE", "nation2": "GERMANY",
                             "d1": "1995-01-01", "d2": "1996-12-31"}),
@@ -517,7 +549,7 @@ QUERIES = {
     10: _q(10, "top-20 customers with problematic parts", _q10_text,
            _q10_selectivity, {"d1": "1993-10-01", "d2": "1994-01-01"}),
     11: TPCDQuery(11, "significant stock per nation", _q11_texts,
-                  _q11_run, None,
+                  _q11_plan, None,
                   {"nation": "GERMANY", "fraction": 0.0001}),
     12: _q(12, "cheap shipping affecting critical orders", _q12_text,
            _q12_selectivity, {"mode1": "MAIL", "mode2": "SHIP",
@@ -525,9 +557,9 @@ QUERIES = {
     13: _q(13, "loss due to returned orders of a clerk", _q13_text,
            _q13_selectivity, {"clerk": "Clerk#000000001"}),
     14: TPCDQuery(14, "market change after a campaign date", _q14_texts,
-                  _q14_run, _q14_selectivity,
+                  _q14_plan, _q14_selectivity,
                   {"d1": "1995-09-01", "d2": "1995-10-01"}),
-    15: TPCDQuery(15, "identify the top supplier", _q15_texts, _q15_run,
+    15: TPCDQuery(15, "identify the top supplier", _q15_texts, _q15_plan,
                   _q15_selectivity,
                   {"d1": "1996-01-01", "d2": "1996-04-01"}),
 }

@@ -123,3 +123,41 @@ def test_unsynced_tmp_rename_is_found(tmp_path):
     _tree(tmp_path / "clean", src_files=[("good.py", good)],
           test_files=[("test_ok.py", "from x import GoodError\n")])
     assert _codes(tmp_path / "clean") == []
+
+
+def _task_tree(tmp_path, tasks_body):
+    monet = '''
+        def register_task_kind(kind, run, warmup=None):
+            pass
+
+        register_task_kind("mil", None)
+        '''
+    root = _tree(tmp_path, src_files=[("tasks.py", tasks_body)],
+                 test_files=[("test_ok.py", "from x import GoodError\n")])
+    (tmp_path / "src" / "repro" / "monet").mkdir()
+    (tmp_path / "src" / "repro" / "monet" / "multiproc.py").write_text(
+        textwrap.dedent(monet))
+    return root
+
+
+def test_a_second_query_task_kind_is_found(tmp_path):
+    # the shape of a per-front-end task kind next to the shared one
+    _task_tree(tmp_path, '''
+        from monet import register_task_kind
+        register_task_kind("query", None)
+        register_task_kind("moa", None)
+        ''')
+    findings = selfcheck.run_selfcheck(str(tmp_path))
+    assert [f.code for f in findings] == ["task-kinds"]
+    assert "'moa' at" in findings[0].message
+
+
+def test_a_missing_query_task_kind_is_found(tmp_path):
+    _task_tree(tmp_path, "TASKS = ()\n")
+    assert _codes(tmp_path) == ["task-kinds"]
+
+    _task_tree(tmp_path / "clean", '''
+        import monet
+        monet.register_task_kind("query", None)
+        ''')
+    assert _codes(tmp_path / "clean") == []

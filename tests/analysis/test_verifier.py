@@ -6,9 +6,9 @@ The acceptance contract of this suite:
   with **zero findings** — not even warnings;
 * the def-use analysis reproduces exactly the reference-resolution
   behaviour of ``MILInterpreter.resolve`` (env first, catalog second);
-* the write-after-read hazard the partitioner assumes away is a typed
-  rejection, making ``partition_independent``'s read-only-catalog
-  assumption an enforced invariant;
+* a write-after-read hazard on a catalog BAT is a typed rejection,
+  making "plans treat the catalog as read-only" an enforced
+  invariant;
 * budget violations raise :class:`~repro.errors.
   PlanBudgetExceededError`, everything else :class:`~repro.errors.
   PlanVerificationError`, and manifest-derived stats agree with

@@ -1,4 +1,4 @@
-"""Multi-process dispatcher: fan-out equality, shipping, partitioning.
+"""Multi-process dispatcher: fan-out equality, shipping, task kinds.
 
 Workers reopen one saved TPC-D db_dir (zero-copy mmap, per-process
 BufferManager, pinned catalog generation) and the parent asserts their
@@ -16,9 +16,9 @@ import pytest
 from repro.errors import (MILError, QueryTimeoutError,
                           StaleCatalogError, WorkerCrashedError)
 from repro.monet import (MILProgram, MonetKernel, MultiprocExecutor,
-                         Var, partition_independent, result_checksum,
-                         run_program_serial, ship_value)
-from repro.monet.multiproc import run_queries_multiproc
+                         Var, result_checksum, run_program_serial,
+                         ship_value)
+from repro.server.tasks import run_queries
 from repro.tpcd import QUERIES, load_tpcd, open_tpcd
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -31,6 +31,9 @@ pytestmark = pytest.mark.skipif(
 #: scalar aggregate (6), multiplex chain (13)
 QUERY_SLICE = (1, 3, 6, 13)
 
+#: workers import the module that registers the ``query`` task kind
+TASKS = ("repro.server.tasks",)
+
 
 @pytest.fixture(scope="module")
 def db_dir(tiny_tpcd, tmp_path_factory):
@@ -41,7 +44,7 @@ def db_dir(tiny_tpcd, tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def executor(db_dir):
-    with MultiprocExecutor(db_dir, procs=2) as pool:
+    with MultiprocExecutor(db_dir, procs=2, task_modules=TASKS) as pool:
         yield pool
 
 
@@ -56,7 +59,7 @@ def serial_db(db_dir):
 # query fan-out
 # ----------------------------------------------------------------------
 def test_queries_match_serial_checksums(executor, serial_db):
-    outcomes = executor.run_queries(QUERY_SLICE)
+    outcomes = run_queries(executor, QUERY_SLICE)
     assert sorted(outcomes) == sorted(QUERY_SLICE)
     for number in QUERY_SLICE:
         serial = result_checksum(
@@ -66,7 +69,7 @@ def test_queries_match_serial_checksums(executor, serial_db):
 
 def test_outcomes_report_worker_provenance(executor, db_dir):
     import os
-    outcomes = executor.run_queries((6, 12))
+    outcomes = run_queries(executor, (6, 12))
     for outcome in outcomes.values():
         assert outcome.pid != os.getpid()          # really off-process
         assert outcome.generation == executor.generation == 1
@@ -77,7 +80,7 @@ def test_outcomes_report_worker_provenance(executor, db_dir):
 
 
 def test_inline_payload_roundtrip(executor, serial_db):
-    outcome = executor.run_queries((6,))[6]
+    outcome = run_queries(executor, (6,))[6]
     shipped = outcome.value()
     assert shipped["kind"] == "value"
     assert shipped["value"] == pytest.approx(QUERIES[6].run(serial_db))
@@ -85,7 +88,7 @@ def test_inline_payload_roundtrip(executor, serial_db):
 
 
 def test_merged_stats_accumulate(executor):
-    outcomes = executor.run_queries(QUERY_SLICE)
+    outcomes = run_queries(executor, QUERY_SLICE)
     total = MultiprocExecutor.merged_stats(outcomes)
     assert total.faults == sum(outcome.stats.faults
                                for outcome in outcomes.values())
@@ -93,14 +96,8 @@ def test_merged_stats_accumulate(executor):
 
 
 def test_run_queries_accepts_any_iterable(executor):
-    outcomes = executor.run_queries(iter((6, 12)))
+    outcomes = run_queries(executor, iter((6, 12)))
     assert sorted(outcomes) == [6, 12]           # iterator not eaten
-
-
-def test_run_queries_multiproc_convenience(db_dir, serial_db):
-    outcomes = run_queries_multiproc(db_dir, numbers=(6,), procs=2)
-    serial = result_checksum(ship_value(QUERIES[6].run(serial_db)))
-    assert outcomes[6].checksum == serial
 
 
 # ----------------------------------------------------------------------
@@ -108,11 +105,12 @@ def test_run_queries_multiproc_convenience(db_dir, serial_db):
 # ----------------------------------------------------------------------
 def test_file_shipping_roundtrip(db_dir, tmp_path, serial_db):
     with MultiprocExecutor(db_dir, procs=2, ship="file",
-                           result_dir=tmp_path) as pool:
-        outcomes = pool.run_queries((3, 6))
+                           result_dir=tmp_path,
+                           task_modules=TASKS) as pool:
+        outcomes = run_queries(pool, (3, 6))
         # a later round must not overwrite the first round's files:
         # the retained outcomes still verify after the re-run
-        pool.run_queries((3, 6))
+        run_queries(pool, (3, 6))
     for number, outcome in outcomes.items():
         mode, path = outcome.payload
         assert mode == "file"
@@ -126,8 +124,9 @@ def test_file_shipping_roundtrip(db_dir, tmp_path, serial_db):
 
 def test_file_shipping_detects_corruption(db_dir, tmp_path):
     with MultiprocExecutor(db_dir, procs=1, ship="file",
-                           result_dir=tmp_path) as pool:
-        outcome = pool.run_queries((6,))[6]
+                           result_dir=tmp_path,
+                           task_modules=TASKS) as pool:
+        outcome = run_queries(pool, (6,))[6]
     _mode, path = outcome.payload
     with open(path, "wb") as handle:
         pickle.dump({"kind": "value", "value": -1.0}, handle)
@@ -150,28 +149,6 @@ def _two_chain_program():
     return program
 
 
-def test_partition_independent_structure():
-    program = _two_chain_program()
-    parts = partition_independent(program)
-    assert [len(part) for part in parts] == [3, 1]
-    assert parts[0].defined_vars()[-1] == "total"
-    assert parts[1].defined_vars() == ["groups"]
-    # catalog-only references never connect statements
-    assert sum(len(part) for part in parts) == len(program)
-
-
-def test_partition_redefinition_stays_ordered():
-    program = MILProgram()
-    program.emit("select", [Var("Item_quantity"), 10, 40], target="x")
-    program.emit("select", [Var("Item_quantity"), 0, 5], target="x")
-    program.emit("ident", [Var("x")], target="y")
-    parts = partition_independent(program)
-    # write-after-write + read keep all three statements together,
-    # in original order
-    assert len(parts) == 1
-    assert [stmt.target for stmt in parts[0]] == ["x", "x", "y"]
-
-
 def test_run_programs_match_serial(executor, db_dir):
     program = _two_chain_program()
     kernel = MonetKernel.open(db_dir)
@@ -182,31 +159,15 @@ def test_run_programs_match_serial(executor, db_dir):
     assert outcomes[0].value().keys() == env.keys()
 
 
-def test_run_partitioned_matches_serial(executor, db_dir):
-    program = _two_chain_program()
-    kernel = MonetKernel.open(db_dir)
-    env_serial, checksum = run_program_serial(kernel, program,
-                                              ["total", "groups"])
-    env, outcomes = executor.run_partitioned(program,
-                                             ["total", "groups"])
-    assert result_checksum(env) == checksum
-    assert env["total"]["value"] == env_serial["total"]["value"]
-    assert len(outcomes) == 2
-
-
-def test_run_partitioned_unknown_fetch_raises(executor):
-    with pytest.raises(MILError):
-        executor.run_partitioned(_two_chain_program(), ["nonsense"])
-
-
 # ----------------------------------------------------------------------
 # generation pinning across the fleet
 # ----------------------------------------------------------------------
 def test_workers_reject_mismatched_generation(db_dir):
     with pytest.raises(StaleCatalogError):
         with MultiprocExecutor(db_dir, procs=1,
-                               expected_generation=99) as pool:
-            pool.run_queries((6,))
+                               expected_generation=99,
+                               task_modules=TASKS) as pool:
+            run_queries(pool, (6,))
 
 
 def test_open_tpcd_pin_binds_preopened_kernels(db_dir):
@@ -226,7 +187,7 @@ def test_open_tpcd_pin_binds_preopened_kernels(db_dir):
 # warm pool: async submit, crash handling, timeouts, task registry
 # ----------------------------------------------------------------------
 def test_submit_returns_pending_task(executor, serial_db):
-    pending = executor.submit(("query", "qasync", 6, None))
+    pending = executor.submit(("query", "qasync", "tpcd", (6, None)))
     outcome = pending.result(timeout=60)
     assert pending.done()
     serial = result_checksum(ship_value(QUERIES[6].run(serial_db)))
@@ -238,48 +199,48 @@ def test_unknown_task_kind_raises_without_killing_pool(executor):
     with pytest.raises(MILError):
         executor.submit(("nonsense", "x")).result(timeout=60)
     # the worker survived the failing task
-    assert executor.run_queries((6,))[6].checksum
+    assert run_queries(executor, (6,))[6].checksum
 
 
 def test_idle_worker_death_respawns_transparently(db_dir):
-    with MultiprocExecutor(db_dir, procs=1) as pool:
-        pool.run_queries((6,))                   # worker warm
+    with MultiprocExecutor(db_dir, procs=1, task_modules=TASKS) as pool:
+        run_queries(pool, (6,))                  # worker warm
         [pid] = pool.worker_pids()
         os.kill(pid, signal.SIGKILL)
         pool._workers[0].process.join(timeout=10)  # observe the death
         # the task never started on the dead worker, so it is retried
         # on the replacement instead of surfacing an error
-        outcome = pool.run_queries((6,))[6]
+        outcome = run_queries(pool, (6,))[6]
         assert outcome.pid != pid
         assert pool.respawns == 1
         assert pool.crashes == 0
 
 
 def test_midtask_crash_surfaces_typed_error_and_respawns(db_dir):
-    with MultiprocExecutor(db_dir, procs=1) as pool:
-        pool.run_queries((6,))                   # catalog mapped
+    with MultiprocExecutor(db_dir, procs=1, task_modules=TASKS) as pool:
+        run_queries(pool, (6,))                  # catalog mapped
         [pid] = pool.worker_pids()
-        pending = pool.submit(("query", "qcrash", 13, None))
+        pending = pool.submit(("query", "qcrash", "tpcd", (13, None)))
         assert pending.dispatched.wait(30)
         os.kill(pid, signal.SIGKILL)
         with pytest.raises(WorkerCrashedError):
             pending.result(timeout=60)
         assert pool.crashes == 1
         # the pool keeps serving through the respawned worker
-        outcome = pool.run_queries((6,))[6]
+        outcome = run_queries(pool, (6,))[6]
         assert outcome.pid != pid
 
 
 def test_timeout_kills_overdue_worker_and_recovers(db_dir, serial_db):
-    with MultiprocExecutor(db_dir, procs=1) as pool:
-        pool.run_queries((6,))
+    with MultiprocExecutor(db_dir, procs=1, task_modules=TASKS) as pool:
+        run_queries(pool, (6,))
         [pid] = pool.worker_pids()
         with pytest.raises(QueryTimeoutError):
-            pool.submit(("query", "qslow", 13, None),
+            pool.submit(("query", "qslow", "tpcd", (13, None)),
                         timeout=0.0001).result(timeout=60)
         assert pool.timeouts == 1
         assert pool.worker_pids() != [pid]
-        outcome = pool.run_queries((13,))[13]
+        outcome = run_queries(pool, (13,))[13]
         serial = result_checksum(ship_value(QUERIES[13].run(serial_db)))
         assert outcome.checksum == serial
 
@@ -288,11 +249,11 @@ def test_registered_moa_task_kind_with_plan_cache(db_dir, serial_db):
     text = QUERIES[1].texts()[0]
     expected = result_checksum(
         ship_value(serial_db.query(text).rows))
-    with MultiprocExecutor(
-            db_dir, procs=1,
-            task_modules=("repro.server.tasks",)) as pool:
-        first = pool.submit(("moa", "m1", text)).result(timeout=120)
-        second = pool.submit(("moa", "m2", text)).result(timeout=120)
+    with MultiprocExecutor(db_dir, procs=1, task_modules=TASKS) as pool:
+        first = pool.submit(("query", "m1", "moa", text)).result(
+            timeout=120)
+        second = pool.submit(("query", "m2", "moa", text)).result(
+            timeout=120)
     assert first.checksum == expected == second.checksum
     assert first.extra["plan_cached"] is False
     assert second.extra["plan_cached"] is True

@@ -114,6 +114,8 @@ def test_malformed_requests_raise_typed_errors(server):
             client.moa("")
         with pytest.raises(ServerError):
             client.tpcd(999)             # unknown query number
+        with pytest.raises(ProtocolError):
+            client.tpcd(2, params={"size": "big"})   # Q2 needs an int
         # the connection survives an error frame
         assert client.ping() == 1
 
@@ -229,6 +231,27 @@ def test_plan_cache_hits_are_observable(db_dir, serial_checksums):
     assert plan["hits"] >= 1
     assert plan["misses"] >= 1
     assert 0.0 < plan["hit_rate"] < 1.0
+
+
+def test_tpcd_plans_are_cached_under_canonical_params(db_dir,
+                                                     serial_checksums):
+    # params given as None, {} and the explicit defaults name the same
+    # query: one plan-cache entry, so every repeat is a hit
+    service = QueryService(db_dir, procs=1, result_cache_bytes=0)
+    try:
+        with service.session() as session:
+            replies = [session.execute(request) for request in (
+                {"type": "tpcd", "number": 6},
+                {"type": "tpcd", "number": 6, "params": {}},
+                {"type": "tpcd", "number": 6,
+                 "params": dict(QUERIES[6].defaults)})]
+        stats = service.stats()
+    finally:
+        service.close()
+    assert [r["plan_cached"] for r in replies] == [False, True, True]
+    assert {r["checksum"] for r in replies} == {serial_checksums[6]}
+    assert stats["plan_cache"]["hits"] == 2
+    assert stats["plan_cache"]["misses"] == 1
 
 
 def test_result_cache_short_circuits(db_dir, serial_checksums):
@@ -719,6 +742,28 @@ def test_plan_budget_rejects_before_any_worker_executes(db_dir):
     # requests only the under-budget plan ever produced a result
     assert counters["plan_rejections"] == 2, counters
     assert counters["results"] == 1, counters
+
+
+def test_plan_budget_rejects_every_query_form(db_dir):
+    # the budget applies to the one query task kind, so Q1 is refused
+    # whether it arrives as Moa text, SQL text or a TPC-D number
+    from repro.analysis.verify import PlanBudget
+    from repro.errors import PlanBudgetExceededError
+    from repro.sql.suite import sql_text
+
+    service = QueryService(db_dir, procs=1,
+                           plan_budget=PlanBudget(max_rows=10))
+    with QueryServer(service) as srv:
+        with _connect(srv) as client:
+            with pytest.raises(PlanBudgetExceededError):
+                client.moa(QUERIES[1].texts()[0])
+            with pytest.raises(PlanBudgetExceededError):
+                client.sql(sql_text(1))
+            with pytest.raises(PlanBudgetExceededError):
+                client.tpcd(1)
+            counters = client.stats()["counters"]
+    service.close()
+    assert counters["results"] == 0, counters
 
 
 def test_unbudgeted_service_verifies_mil_but_admits_everything(db_dir):

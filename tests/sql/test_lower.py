@@ -15,7 +15,7 @@ from repro.errors import SqlUnsupportedError
 from repro.sql import ast as sql_ast
 from repro.sql.lower import _LOWERS, lower_sql
 from repro.sql.parser import parse_sql
-from repro.sql.runtime import Hole
+from repro.moa.plan import Hole
 
 
 def _phases(text):
