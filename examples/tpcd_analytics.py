@@ -16,6 +16,8 @@ import sys
 import time
 
 from repro.monet.buffer import BufferManager, use
+from repro.monet.optimizer import Optimizer
+from repro.monet.optimizer import use as use_optimizer
 from repro.tpcd import QUERIES, generate, load_tpcd, open_tpcd, \
     peek_tpcd_meta
 
@@ -35,15 +37,19 @@ def main(scale=0.001, db_dir=None):
     print(report.format_table())
 
     # --- Figure 10: the detailed Q13 trace --------------------------------
+    # verbatim: the paper's translation, without the default plan
+    # passes and join variants
     q13 = QUERIES[13]
     text = q13.texts()[0]
+    verbatim = Optimizer(verbatim=True)
     print("\n=== Q13 in MOA (paper section 4.1) ===")
     print(text)
     print("=== MIL translation (Figure 5) ===")
-    print(db.mil_text(text))
+    with use_optimizer(verbatim):
+        print(db.mil_text(text))
 
     manager = BufferManager(page_size=4096)
-    with use(manager):
+    with use(manager), use_optimizer(verbatim):
         result = db.query(text)
     print("\n=== Figure 10: detailed execution trace ===")
     print(result.trace.format_table())

@@ -20,7 +20,9 @@ once, carrying an abstract environment of
   invariant instead of a convention;
 * dead statements (results never observed) are reported as warnings
   and exposed through :func:`live_statements`, which is also the
-  engine of the optimizer's flag-enabled dead-code elimination;
+  engine of the rewriter's dead-code elimination;
+  :func:`common_subexpressions` is the matching common-subexpression
+  pass (both run by default; see :func:`repro.moa.rewriter.rewrite`);
 * per-statement cardinality and byte bounds are propagated from
   catalog stats and scored as page-fault bounds with the section
   5.2.2 cost model (:mod:`repro.costmodel.iomodel`), giving admission
@@ -35,10 +37,11 @@ dependent failures still surface at run time.
 
 import math
 import time
+import weakref
 
 from ..costmodel.iomodel import CostModelParams
 from ..errors import PlanBudgetExceededError, PlanVerificationError
-from ..monet.mil import Var
+from ..monet.mil import MILStmt, Var
 from .signatures import (ANY, BatType, ScalarType, SignatureError,
                          SIGNATURES)
 
@@ -167,14 +170,31 @@ def _column_atom(column):
     return column.atom.name
 
 
+#: kernel -> ((generation, catalog version), stats); weak, so a
+#: dropped kernel takes its stats with it
+_KERNEL_STATS = weakref.WeakKeyDictionary()
+
+
 def catalog_stats_from_kernel(kernel):
     """Abstract types for every BAT in a live kernel catalog.
 
     Derives the same :class:`~repro.analysis.signatures.BatType` a
     :func:`catalog_stats_from_manifest` over the saved form would —
     virtual columns report ``void`` either way, so parent-side (mil)
-    and worker-side (moa) admission see identical stats.
+    and worker-side (moa) admission see identical stats.  The stats
+    are computed once per kernel generation and catalog version
+    (every register/replace/drop bumps it) and handed out as a fresh
+    dict each call.
     """
+    key = (kernel.generation, kernel.catalog_version)
+    cached = _KERNEL_STATS.get(kernel)
+    if cached is None or cached[0] != key:
+        cached = (key, _kernel_stats(kernel))
+        _KERNEL_STATS[kernel] = cached
+    return dict(cached[1])
+
+
+def _kernel_stats(kernel):
     stats = {}
     for name in kernel.names():
         bat = kernel.get(name)
@@ -241,6 +261,82 @@ def live_statements(program, roots=None):
             needed.update(stmt.referenced_vars())
     live.reverse()
     return live
+
+
+# ----------------------------------------------------------------------
+# common subexpressions
+# ----------------------------------------------------------------------
+#: MIL ops proven pure: the result is a function of the arguments
+#: alone (no side effect, no state that a second call could see
+#: differently), so two statements applying one to the same arguments
+#: compute the same value.  Only these ops are merged by
+#: :func:`common_subexpressions`; an op added to the interpreter is
+#: never merged until it is listed here.
+PURE_OPS = frozenset([
+    "aggr", "aggr_all", "antijoin", "difference", "fillzero", "group",
+    "ident", "intersection", "join", "kdiff", "mark", "mirror",
+    "multiplex", "number", "pairjoin", "select", "semijoin", "slice",
+    "sort", "sortby", "union", "unique",
+])
+
+
+def _arg_key(arg, renames):
+    if isinstance(arg, Var):
+        return ("var", renames.get(arg.name, arg.name))
+    # the type keeps 1, 1.0 and True apart: they are equal in Python
+    # but give results of different atoms
+    return (type(arg), arg)
+
+
+def _single_assignment(stmts):
+    """True when every target is assigned once and never read before
+    its assignment — then a name denotes one value in the whole plan."""
+    targets = set(stmt.target for stmt in stmts)
+    if len(targets) != len(stmts):
+        return False
+    defined = set()
+    for stmt in stmts:
+        for name in stmt.referenced_vars():
+            if name in targets and name not in defined:
+                return False
+        defined.add(stmt.target)
+    return True
+
+
+def common_subexpressions(program):
+    """Merge statements that recompute an earlier statement's value.
+
+    Returns ``(statements, renames)``: the program without every
+    statement whose op (:data:`PURE_OPS`), ``fn`` and arguments —
+    after renaming — equal an earlier statement's, and the map from
+    each dropped target to the kept target that now stands for it.
+    References in later statements are renamed already; a caller
+    renames its own references (e.g. a result rep) with ``renames``.
+    Plans that assign a name twice, or read a name through the
+    catalog before assigning it, are returned unchanged.
+    """
+    stmts = list(program)
+    if not _single_assignment(stmts):
+        return stmts, {}
+    renames = {}
+    first = {}
+    kept = []
+    for stmt in stmts:
+        args = [Var(renames.get(arg.name, arg.name))
+                if isinstance(arg, Var) else arg for arg in stmt.args]
+        if stmt.op in PURE_OPS:
+            key = (stmt.op, stmt.fn,
+                   tuple(_arg_key(arg, renames) for arg in stmt.args))
+            try:
+                earlier = first.setdefault(key, stmt.target)
+            except TypeError:           # an unhashable literal
+                earlier = stmt.target
+            if earlier != stmt.target:
+                renames[stmt.target] = earlier
+                continue
+        kept.append(MILStmt(stmt.target, stmt.op, args, fn=stmt.fn,
+                            comment=stmt.comment))
+    return kept, renames
 
 
 # ----------------------------------------------------------------------

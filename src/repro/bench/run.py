@@ -14,8 +14,12 @@ repo's perf trajectory file.  Each operator entry records
   and reference kernels must agree before timings are recorded),
 * ``faults`` — simulated cold-cache page faults of the operator call.
 
-Query entries record median wall ms, simulated faults and result
-cardinality.  An ``analysis`` section verifies every compiled query
+Query entries record median wall ms with its p25/p75 spread,
+simulated faults, result cardinality, and the MIL statement count of
+the query's plans with the default plan passes (``stmts``) and under
+``verbatim`` (``stmts_verbatim``).  Two hard gates ride on them: the
+passes may never grow a plan, and every query's result checksum must
+be identical in both optimizer modes.  An ``analysis`` section verifies every compiled query
 plan with the static plan verifier (:mod:`repro.analysis.verify`) and
 records per-query verifier wall time and static row/byte/page bounds;
 the run hard-errors if any plan has a finding or if verification costs
@@ -95,6 +99,7 @@ output path (same scale + mode only; disable with
 """
 
 import argparse
+import gc
 import json
 import os
 import platform
@@ -117,7 +122,7 @@ from ..monet.operators import naive
 from ..monet.multiproc import (MultiprocExecutor, result_checksum,
                                ship_value)
 from ..analysis.verify import catalog_stats_from_kernel, verify_program
-from ..monet.optimizer import dispatch_disabled
+from ..monet.optimizer import Optimizer, dispatch_disabled, use
 from ..monet.storage import PAGESIZE, residency_report, residency_snapshot
 from ..monet import vectorized as vz
 from ..tpcd import QUERIES, generate, load_tpcd, open_tpcd, peek_tpcd_meta
@@ -538,6 +543,9 @@ def _validate_queries(db_dir):
 #: costs.  The 5% relative gate takes over for queries slower than
 #: ``ANALYSIS_FLOOR_MS / 0.05`` (20 ms).
 ANALYSIS_FLOOR_MS = 1.0
+#: verifier timings are the median of this many gc-paused repeats, so
+#: one collection landing inside one call cannot trip the gate
+ANALYSIS_REPEATS = 3
 
 
 def _analysis_section(db, serial):
@@ -558,17 +566,17 @@ def _analysis_section(db, serial):
     section = {"queries": {}, "budget_ok": True,
                "floor_ms": ANALYSIS_FLOOR_MS}
     for number in sorted(QUERIES):
-        plans = []
-        for text in QUERIES[number].texts():
-            _resolved, result = db.compile(text)
-            plans.append(verify_program(result.program, catalog=stats))
+        programs = [db.compile(text)[1].program
+                    for text in QUERIES[number].texts()]
+        plans = [verify_program(program, catalog=stats)
+                 for program in programs]
         findings = [finding for plan in plans
                     for finding in plan.errors + plan.warnings]
         if findings:
             raise RuntimeError(
                 "Q%d plan failed static verification: %s"
                 % (number, "; ".join(f.render() for f in findings)))
-        verify_ms = sum(plan.verify_ms for plan in plans)
+        verify_ms = _verify_ms(programs, stats)
         median_ms = float(serial[str(number)]["median_ms"])
         within = verify_ms <= max(0.05 * median_ms, ANALYSIS_FLOOR_MS)
         rows = [plan.max_rows for plan in plans]
@@ -593,6 +601,31 @@ def _analysis_section(db, serial):
             "Q%s — admission-time analysis must stay cheap"
             % ", Q".join(slow))
     return section
+
+
+def _verify_ms(programs, stats):
+    """Median over repeats of the summed verifier wall time of
+    ``programs``, each repeat with the garbage collector paused."""
+    totals = []
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for _repeat in range(ANALYSIS_REPEATS):
+            totals.append(sum(
+                verify_program(program, catalog=stats).verify_ms
+                for program in programs))
+    finally:
+        if enabled:
+            gc.enable()
+    return statistics.median(totals)
+
+
+def _plan_stmts(db, number, verbatim):
+    """MIL statements in query ``number``'s plans, as compiled with
+    or without the plan passes."""
+    with use(Optimizer(verbatim=verbatim)):
+        return sum(len(db.compile(text)[1].program)
+                   for text in QUERIES[number].texts())
 
 
 def _multiproc_section(db_dir, procs, serial):
@@ -1013,17 +1046,32 @@ def run(sf, reps, quick, out_path, db_dir=None, validate=False,
         else:
             shape = len(rows)
         times = _times_ms(lambda q=query: q.run(db), reps)
+        checksum = result_checksum(ship_value(rows))
+        with use(Optimizer(verbatim=True)):
+            verbatim_checksum = result_checksum(ship_value(query.run(db)))
+        if verbatim_checksum != checksum:
+            raise RuntimeError(
+                "Q%d: the plan passes and join variants changed the "
+                "result (checksum %s, verbatim %s)"
+                % (number, checksum, verbatim_checksum))
         entry = {
             "median_ms": round(statistics.median(times), 4),
             "faults": int(measure_query_faults(db, query)),
             "rows": int(shape),
             # canonical sha1 of the result rows — the equality contract
             # the multiproc section (and the CI cross-run diff) asserts
-            "checksum": result_checksum(ship_value(rows)),
+            "checksum": checksum,
+            "stmts": _plan_stmts(db, number, verbatim=False),
+            "stmts_verbatim": _plan_stmts(db, number, verbatim=True),
         }
-        # tail latency over the reps, the serving-layer observable
+        if entry["stmts"] > entry["stmts_verbatim"]:
+            raise RuntimeError(
+                "Q%d: the plan passes grew the plan from %d to %d "
+                "statements" % (number, entry["stmts_verbatim"],
+                                entry["stmts"]))
+        # the spread and tail over the reps beside the median
         entry.update({"%s_ms" % name: value for name, value
-                      in percentiles(times).items()})
+                      in percentiles(times, (25, 50, 75, 95, 99)).items()})
         results["queries"][str(number)] = entry
 
     results["analysis"] = _analysis_section(db, results["queries"])
@@ -1218,9 +1266,13 @@ def main(argv=None):
             print("    %-10s %s  %s" % (name, timings, speedups))
     slowest = max(results["queries"].items(),
                   key=lambda kv: kv[1]["median_ms"])
-    print("  %d queries; slowest Q%s at %.1f ms"
+    print("  %d queries; slowest Q%s at %.1f ms; %d MIL statements "
+          "(%d verbatim)"
           % (len(results["queries"]), slowest[0],
-             slowest[1]["median_ms"]))
+             slowest[1]["median_ms"],
+             sum(entry["stmts"] for entry in results["queries"].values()),
+             sum(entry["stmts_verbatim"]
+                 for entry in results["queries"].values())))
     section = results["analysis"]
     print("  analysis: %d plans (%d stmts) verified clean in %.2f ms "
           "total, budget_ok=%s"

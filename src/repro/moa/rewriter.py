@@ -34,14 +34,15 @@ Published rewrite rules honoured literally:
 """
 
 from ..analysis.verify import (catalog_stats_from_kernel, check_program,
-                               live_statements)
+                               common_subexpressions, live_statements)
 from ..errors import RewriteError
 from ..monet import atoms as _atoms
 from ..monet.mil import MILProgram, Var
 from ..monet.optimizer import get_optimizer
 from . import ast
 from .structures import (AtomRep, InlineAtomRep, InlineRefRep, Mirrored,
-                         ObjectRep, RefRep, SetRep, TupleRep, ViaRep)
+                         ObjectRep, RefRep, SetRep, TupleRep, ViaRep,
+                         rename_sources)
 from .types import BaseType, ClassRef, SetType, TupleType
 
 
@@ -883,26 +884,41 @@ def _collect_rep_sources(rep, roots):
 def rewrite(resolved, flat, verify=True):
     """Rewrite a resolved query to (MIL program, result structure).
 
+    Unless the installed optimizer is ``verbatim``, two plan passes
+    then shrink the program: common-subexpression elimination (a
+    statement recomputing an earlier statement's value is dropped and
+    its readers, the result rep included, read the earlier target)
+    and dead-code elimination (statements the result never observes
+    are dropped; the analysis layer's liveness pass).
+
     Every compiled plan is statically verified against the operator
     signature registry before it is returned, with catalog stats from
     the flattened database — a miscompile (unbound reference, type
     violation, malformed statement) surfaces here as a
     :class:`~repro.errors.PlanVerificationError` instead of at run
-    time.  When the installed optimizer has ``eliminate_dead`` set,
-    statements the result rep provably never observes are dropped
-    (the analysis layer's liveness pass); the surviving program is
-    what gets verified.
+    time.  The program that survives the passes is what is verified.
     """
     result = Rewriter(resolved, flat).rewrite()
     optimizer = get_optimizer()
-    if getattr(optimizer, "eliminate_dead", False):
-        live = live_statements(result.program,
-                               roots=rep_root_names(result))
-        if len(live) != len(result.program.stmts):
-            optimizer.record_dce(len(result.program.stmts) - len(live))
-            result.program.stmts = [result.program.stmts[index]
-                                    for index in live]
+    if not optimizer.verbatim:
+        _run_passes(result, optimizer)
     if verify:
         stats = catalog_stats_from_kernel(flat.kernel)
         check_program(result.program, catalog=stats)
     return result
+
+
+def _run_passes(result, optimizer):
+    """CSE, then DCE, on ``result`` in place."""
+    program = result.program
+    emitted = len(program.stmts)
+    stmts, renames = common_subexpressions(program)
+    optimizer.record_pass("cse", emitted - len(stmts))
+    if renames:
+        result.rep = rename_sources(result.rep, renames)
+        result.scalar_var = renames.get(result.scalar_var,
+                                        result.scalar_var)
+    program.stmts = stmts
+    live = live_statements(program, roots=rep_root_names(result))
+    optimizer.record_pass("dce", len(stmts) - len(live))
+    program.stmts = [stmts[index] for index in live]

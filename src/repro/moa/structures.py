@@ -176,6 +176,30 @@ def resolve_source(source, resolver):
     return resolver(source)
 
 
+def rename_sources(node, renames):
+    """A copy of the rep tree ``node`` with every :class:`Var` source
+    named in ``renames`` replaced by a Var of the new name; subtrees
+    with nothing to rename are shared, not copied."""
+    if isinstance(node, Var):
+        new_name = renames.get(node.name)
+        return node if new_name is None else Var(new_name)
+    if isinstance(node, (list, tuple)):
+        items = [rename_sources(item, renames) for item in node]
+        if all(new is old for new, old in zip(items, node)):
+            return node
+        return type(node)(items)
+    if not isinstance(node, (Rep, Mirrored)):
+        return node
+    values = {name: rename_sources(getattr(node, name), renames)
+              for name in type(node).__slots__}
+    if all(values[name] is getattr(node, name) for name in values):
+        return node
+    clone = object.__new__(type(node))
+    for name, value in values.items():
+        setattr(clone, name, value)
+    return clone
+
+
 def _render_source(source):
     if isinstance(source, Mirrored):
         return "mirror(%s)" % _render_source(source.source)

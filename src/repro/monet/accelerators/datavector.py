@@ -44,6 +44,7 @@ class DataVectorRegistry:
         self.class_name = class_name
         self.extent = extent
         self.extent_column = extent_column
+        self._dense = None
         #: right-operand identity -> (positions into extent, hit mask
         #: positions into the right operand)  — the cached LOOKUP array.
         self._lookup_cache = {}
@@ -66,21 +67,50 @@ class DataVectorRegistry:
             return cached
         heads = np.asarray(right_bat.head.logical(), dtype=np.int64)
         if charge_probes:
-            manager = get_manager()
-            manager.access_column(right_bat.head)
-            for heap in self.extent_column.heaps:
-                manager.access_probes(heap, len(heads), len(self.extent),
-                                      heap.width)
-        positions = np.searchsorted(self.extent, heads)
-        positions = np.clip(positions, 0, max(0, len(self.extent) - 1))
-        if len(self.extent):
-            valid = self.extent[positions] == heads
-        else:
-            valid = np.zeros(len(heads), dtype=bool)
-        result = (positions[valid], np.nonzero(valid)[0])
+            get_manager().access_column(right_bat.head)
+        hits, positions = self._search(heads, charge_probes)
+        result = (positions, hits)
         self._lookup_cache[key] = result
         self.lookups_computed += 1
         return result
+
+    @property
+    def dense(self):
+        """True when the extent is ``base .. base+n-1``: a strictly
+        ascending extent whose ends span exactly its length.  Checked
+        on first use, so opening a catalog reads no extent page."""
+        if self._dense is None:
+            extent = self.extent
+            self._dense = (len(extent) == 0 or int(extent[-1])
+                           - int(extent[0]) + 1 == len(extent))
+        return self._dense
+
+    def probe(self, oids):
+        """``(hit_positions, extent_positions)`` of the ``oids`` found
+        in the extent: direct arithmetic on a dense extent, charged
+        binary searches otherwise."""
+        if not self.dense:
+            return self._search(oids, True)
+        base = int(self.extent[0]) if len(self.extent) else 0
+        positions = oids - base
+        valid = (positions >= 0) & (positions < len(self.extent))
+        return np.nonzero(valid)[0], positions[valid]
+
+    def _search(self, oids, charge_probes):
+        """Binary-search ``oids`` in the extent; ``(hit_positions,
+        extent_positions)`` of those found."""
+        if charge_probes:
+            manager = get_manager()
+            for heap in self.extent_column.heaps:
+                manager.access_probes(heap, len(oids), len(self.extent),
+                                      heap.width)
+        positions = np.searchsorted(self.extent, oids)
+        positions = np.clip(positions, 0, max(0, len(self.extent) - 1))
+        if len(self.extent):
+            valid = self.extent[positions] == oids
+        else:
+            valid = np.zeros(len(oids), dtype=bool)
+        return np.nonzero(valid)[0], positions[valid]
 
     def invalidate(self):
         """Drop cached lookups (after updates to the extent)."""
@@ -99,6 +129,20 @@ class DataVector:
                 % (registry.class_name, len(vector), len(registry.extent)))
         self.registry = registry
         self.vector = vector
+
+    def fetch(self, extent_positions):
+        """The value vector at ``extent_positions``, accounted as a
+        positional gather of the vector's heaps."""
+        manager = get_manager()
+        for heap in self.vector.heaps:
+            width = getattr(heap, "width", None) or 4
+            manager.access_positions(heap, extent_positions, width)
+        return self.vector.take(extent_positions)
+
+    def covers(self, bat):
+        """True when ``bat`` holds exactly one BUN per extent oid, so
+        this vector is ``bat``'s tail in extent order."""
+        return bat.props.hkey and len(bat) == len(self.registry.extent)
 
 
 def build_datavector(attr_bat, registry):

@@ -10,8 +10,8 @@ shares the underlying columns and swaps the property flags.
 A BAT additionally carries:
 
 * ``props`` — the ordered/key flags of section 5.1,
-* ``alignment`` — the token implementing ``synced`` (see
-  :mod:`repro.monet.properties`),
+* ``alignment`` / ``tail_alignment`` — the head and tail tokens
+  implementing ``synced`` (see :mod:`repro.monet.properties`),
 * ``accel`` — attached search accelerators (hash tables, the
   datavector of section 5.2), stored in extra heaps in Monet.
 
@@ -29,7 +29,7 @@ from ..errors import BATError
 from . import atoms as _atoms
 from .column import (Column, FixedColumn, VarColumn, VoidColumn,
                      column_from_values, concat_columns)
-from .properties import Props, fresh_alignment, mirror_alignment
+from .properties import Props, fresh_alignment
 
 _BAT_IDS = itertools.count(1)
 
@@ -37,10 +37,11 @@ _BAT_IDS = itertools.count(1)
 class BAT:
     """A Binary Association Table over two :class:`Column` objects."""
 
-    __slots__ = ("head", "tail", "props", "alignment", "name", "accel",
-                 "identity", "_mirror_cache")
+    __slots__ = ("head", "tail", "props", "alignment", "tail_alignment",
+                 "name", "accel", "identity", "_mirror_cache")
 
-    def __init__(self, head, tail, name=None, props=None, alignment=None):
+    def __init__(self, head, tail, name=None, props=None, alignment=None,
+                 tail_alignment=None):
         if not isinstance(head, Column) or not isinstance(tail, Column):
             raise BATError("BAT columns must be Column instances")
         if len(head) != len(tail):
@@ -51,6 +52,8 @@ class BAT:
         self.props = props if props is not None else Props()
         self.alignment = (alignment if alignment is not None
                           else fresh_alignment())
+        self.tail_alignment = (tail_alignment if tail_alignment is not None
+                               else fresh_alignment("tail"))
         self.name = name
         self.accel = {}
         self.identity = next(_BAT_IDS)
@@ -77,15 +80,17 @@ class BAT:
     def mirror(self):
         """The mirrored view: head and tail swapped, zero cost.
 
-        The mirror shares this BAT's columns; its alignment token is the
-        ``mirror`` of this BAT's token, so ``b.mirror().mirror()`` is
-        synced with ``b``.
+        The mirror shares this BAT's columns and swaps the head and tail
+        tokens with them, so ``b.mirror().mirror()`` is synced with
+        ``b``, and two mirrors are synced only when the tails they
+        came from are.
         """
         if self._mirror_cache is None:
             out = BAT(self.tail, self.head,
                       name=None if self.name is None else self.name + ".mirror",
                       props=self.props.swapped(),
-                      alignment=mirror_alignment(self.alignment))
+                      alignment=self.tail_alignment,
+                      tail_alignment=self.alignment)
             out._mirror_cache = self
             self._mirror_cache = out
         return self._mirror_cache
@@ -109,6 +114,14 @@ class BAT:
         positions = np.asarray(positions, dtype=np.int64)
         return BAT(self.head.take(positions), self.tail.take(positions),
                    name=name, alignment=alignment)
+
+    def copy(self, name=None):
+        """A BUN-for-BUN copy, synced with this BAT on head and tail."""
+        positions = np.arange(len(self), dtype=np.int64)
+        return BAT(self.head.take(positions), self.tail.take(positions),
+                   name=name, props=self.props.copy(),
+                   alignment=self.alignment,
+                   tail_alignment=self.tail_alignment)
 
     def slice(self, lo, hi, name=None):
         """New BAT over the contiguous BUN range ``lo:hi``."""

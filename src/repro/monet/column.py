@@ -25,10 +25,13 @@ from .heap import FixedHeap, VarHeap
 class Column:
     """Abstract column; see module docstring for the three layouts."""
 
-    __slots__ = ("atom",)
+    __slots__ = ("atom", "groups")
 
     def __init__(self, atom):
         self.atom = _atoms.atom(atom)
+        #: cached :func:`~repro.monet.vectorized.group_keys` of this
+        #: column's keys (columns are immutable, so it never goes stale)
+        self.groups = None
 
     def __len__(self):
         raise NotImplementedError

@@ -50,6 +50,9 @@ class MonetKernel:
         #: (``None`` for kernels that were never opened from storage)
         self.generation = None
         self.origin = None
+        #: bumped by every register/replace/drop, so derived catalog
+        #: facts (the analysis layer's stats) know when to recompute
+        self.catalog_version = 0
 
     # ------------------------------------------------------------------
     # catalog
@@ -59,6 +62,7 @@ class MonetKernel:
             raise CatalogError("BAT %r already in catalog" % name)
         bat.name = name
         self._catalog[name] = bat
+        self.catalog_version += 1
         return bat
 
     def replace(self, name, bat):
@@ -66,6 +70,7 @@ class MonetKernel:
             raise CatalogError("BAT %r not in catalog" % name)
         bat.name = name
         self._catalog[name] = bat
+        self.catalog_version += 1
         return bat
 
     def get(self, name):
@@ -84,6 +89,7 @@ class MonetKernel:
         if name not in self._catalog:
             raise CatalogError("no BAT named %r" % name)
         del self._catalog[name]
+        self.catalog_version += 1
 
     def total_bytes(self):
         """Byte footprint of the whole catalog (for the 1.6 GB row)."""

@@ -28,6 +28,12 @@ select       binsearch          tail ``ordered``: two ``searchsorted``
                                 probes + contiguous slice
 select       scan               fallback: one vectorised mask pass
 join         fetchjoin          inner head void: positional arithmetic
+join         positional [*]     inner head key and equal to the outer
+                                tail BUN for BUN (tokens, else one array
+                                compare): the columns are reused as is
+join         datavectorjoin     inner carries a datavector covering its
+             [*]                class: extent lookup (arithmetic on a
+                                dense extent) + value-vector take
 join         mergejoin          inner head ordered+key, fixed atoms:
                                 ``searchsorted`` per outer BUN
 join         hashjoin           fallback: MultiMap (argsort +
@@ -43,11 +49,26 @@ group        unary/binary       factorised int codes (``np.unique``),
 unique/      code path          joint int64 BUN pair codes +
 set ops                         ``np.unique``/``np.isin``; first-occurrence
                                 order preserved
-aggregate    grouped            ``np.bincount`` (count/avg/float sum),
+aggregate    grouped            head grouped once per head column
+                                (first-occurrence scatter + ``cumsum``
+                                over a compact integer domain, else
+                                ``np.unique``) and reused by every
+                                aggregate over that column;
+                                ``np.bincount`` (count/avg/float sum),
                                 argsort + ``np.add.reduceat`` (int sum,
                                 exact), order-rank extremes (min/max incl.
                                 strings)
+multiplex    synced/aligned     one numpy expression over positionally
+                                aligned tails; a lone var-sized operand
+                                is evaluated once per heap entry and
+                                gathered by heap index when the heap is
+                                no larger than the column
 ===========  =================  ===========================================
+
+``[*]``: not chosen under ``Optimizer(verbatim=True)``, which keeps
+the paper's fetch/merge/hash join dispatch so the Figure 9/10 fault
+traces are exactly the paper's translation (see
+:mod:`repro.monet.optimizer`).
 
 Hash indexes (``bat.accel["hash"]``) are *array-backed* for
 fixed-width atoms — a stable sort permutation plus sorted key array —

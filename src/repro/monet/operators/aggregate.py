@@ -20,7 +20,8 @@ from .. import atoms as _atoms
 from ..buffer import get_manager
 from ..column import FixedColumn, equality_keys
 from ..properties import Props
-from ..vectorized import grouped_sum, grouped_weighted_sum, membership_mask
+from ..vectorized import (group_keys, grouped_sum, grouped_weighted_sum,
+                          membership_mask)
 from .common import result_bat
 
 AGGREGATES = ("sum", "count", "avg", "min", "max")
@@ -46,17 +47,22 @@ def set_aggregate(func, ab, name=None):
     with manager.operator("{%s}" % func):
         manager.access_column(ab.head)
         manager.access_column(ab.tail)
-        keys = ab.head.keys()
-        uniq, first_pos, inverse = np.unique(
-            keys, return_index=True, return_inverse=True)
-        inverse = inverse.astype(np.int64)
-        n_groups = len(uniq)
+        first_pos, inverse, n_groups = _head_groups(ab.head)
         head = ab.head.take(first_pos)
         tail = _grouped(func, ab.tail, inverse, n_groups)
     # heads come out in ascending key order; for var-size atoms key
     # order is heap order, not value order, so ordered cannot be set
     props = Props(hkey=True, hordered=not ab.head.atom.varsized)
     return result_bat(head, tail, name=name, props=props)
+
+
+def _head_groups(column):
+    """The grouping of a head column, computed once per column:
+    aggregates over one head (Q1 runs nine) share it, the way
+    datavector semijoins share a cached LOOKUP array."""
+    if column.groups is None:
+        column.groups = group_keys(column.keys())
+    return column.groups
 
 
 def _grouped(func, tail_col, inverse, n_groups):

@@ -23,12 +23,12 @@ def take_subsequence(ab, positions, name=None):
     """Result BAT = ``ab`` restricted to ``positions`` (monotonic).
 
     Inherits properties; when *all* BUNs survive the result is synced
-    with the operand (alignment token preserved).
+    with the operand on head and tail (both tokens preserved).
     """
     positions = np.asarray(positions, dtype=np.int64)
-    total = len(positions) == len(ab)
-    out = ab.take(positions, name=name,
-                  alignment=ab.alignment if total else None)
+    if len(positions) == len(ab):
+        return ab.copy(name=name)
+    out = ab.take(positions, name=name)
     out.props = subsequence_props(ab)
     return out
 
@@ -55,8 +55,10 @@ def require_nonempty_signature(ab, cd, op):
             % (op, ab.tail.atom.name, cd.head.atom.name))
 
 
-def result_bat(head, tail, name=None, props=None, alignment=None):
-    out = BAT(head, tail, name=name, alignment=alignment)
+def result_bat(head, tail, name=None, props=None, alignment=None,
+               tail_alignment=None):
+    out = BAT(head, tail, name=name, alignment=alignment,
+              tail_alignment=tail_alignment)
     if props is not None:
         out.props = props
     return out

@@ -13,6 +13,20 @@ binary model (section 4.2).  Implementations, chosen at run time:
 * ``hashjoin`` — the generic fallback; builds (or reuses) a hash table
   accelerator on the inner head.
 
+Two more variants are chosen unless the optimizer is ``verbatim``
+(which keeps the paper's plans and fault traces exact):
+
+* ``positional`` — the inner head equals the outer tail position by
+  position and is unique, so BUN ``i`` matches BUN ``i`` alone: the
+  result is ``(ab.head, cd.tail)`` with no matching at all.  The
+  match is proven from the tokens (``ab``'s tail token is ``cd``'s
+  alignment) or, for equal lengths, by comparing the two key arrays.
+  This is the ``join(sidx, col)`` in front of every grouped aggregate.
+* ``datavectorjoin`` — the inner operand carries a datavector
+  (section 5.2) covering its whole class: outer oids are located in
+  the class extent (arithmetic when the extent is dense) and values
+  are taken from the value vector, with no multimap build.
+
 The result is produced in outer (left) BUN order.  When every outer
 BUN finds exactly one match the result head equals the outer head, so
 the result is *synced* with the outer operand — the property that makes
@@ -22,6 +36,7 @@ the Q13 multiplex chain positional.
 import numpy as np
 
 from ...errors import OperatorError
+from ..accelerators.datavector import has_datavector
 from ..accelerators.hashidx import hash_of
 from ..buffer import get_manager
 from ..column import column_from_values, equality_keys
@@ -39,6 +54,14 @@ def join(ab, cd, name=None):
     if optimizer.dynamic and cd.head.is_void():
         optimizer.record("join", "fetchjoin")
         return _fetchjoin(ab, cd, name)
+    if optimizer.dynamic and not optimizer.verbatim:
+        if _positional(ab, cd):
+            optimizer.record("join", "positional")
+            return _positionaljoin(ab, cd, name)
+        if (has_datavector(cd) and cd.accel["datavector"].covers(cd)
+                and _key_kind(ab.tail) in ("i", "u")):
+            optimizer.record("join", "datavectorjoin")
+            return _datavectorjoin(ab, cd, name)
     if (optimizer.dynamic and cd.props.hordered and cd.props.hkey
             and not cd.head.atom.varsized and not ab.tail.atom.varsized):
         optimizer.record("join", "mergejoin")
@@ -161,9 +184,10 @@ def _gather_keys(raw, positions):
     return raw[np.where(missing, 0, positions)], missing
 
 
-def _finish(ab, cd, left_pos, right_pos, name):
+def _finish(ab, cd, left_pos, right_pos, name, tail=None):
     head = ab.head.take(left_pos)
-    tail = cd.tail.take(right_pos)
+    if tail is None:
+        tail = cd.tail.take(right_pos)
     props = Props()
     props.hordered = ab.props.hordered      # left-major, non-strict order
     props.hkey = ab.props.hkey and cd.props.hkey
@@ -189,6 +213,53 @@ def _fetchjoin(ab, cd, name):
         manager.access_column(ab.head, left_pos)
         manager.access_column(cd.tail, right_pos)
     return _finish(ab, cd, left_pos, right_pos, name)
+
+
+def _positional(ab, cd):
+    """True when ``cd``'s head is ``ab``'s tail, BUN for BUN, and
+    unique — by token, or else by comparing the key arrays.  Float
+    keys are left to the matching joins: NaN never matches, not even
+    at the same position."""
+    if not cd.props.hkey or len(ab) != len(cd) \
+            or _key_kind(ab.tail) == "f":
+        return False
+    if ab.tail_alignment == cd.alignment:
+        return True
+    manager = get_manager()
+    with manager.operator("join.positional"):
+        manager.access_column(ab.tail)
+        manager.access_column(cd.head)
+        left_keys, right_keys = equality_keys(ab.tail, cd.head)
+        return bool(np.array_equal(left_keys, right_keys))
+
+
+def _key_kind(column):
+    """numpy kind of a column's atom; ``None`` for var-sized atoms."""
+    dtype = column.atom.dtype
+    return None if dtype is None else dtype.kind
+
+
+def _positionaljoin(ab, cd, name):
+    # BUN i of ab matches BUN i of cd and nothing else: the columns
+    # are shared as they are (columns are immutable)
+    props = Props(hkey=ab.props.hkey, hordered=ab.props.hordered)
+    return result_bat(ab.head, cd.tail, name=name, props=props,
+                      alignment=ab.alignment,
+                      tail_alignment=cd.tail_alignment)
+
+
+def _datavectorjoin(ab, cd, name):
+    # dispatch guarantees: cd's datavector covers cd (one BUN per
+    # extent oid), so each outer oid matches at most one inner BUN
+    manager = get_manager()
+    accel = cd.accel["datavector"]
+    with manager.operator("join.datavector"):
+        manager.access_column(ab.tail)
+        oids = np.asarray(ab.tail.logical(), dtype=np.int64)
+        left_pos, extent_pos = accel.registry.probe(oids)
+        manager.access_column(ab.head, left_pos)
+        tail = accel.fetch(extent_pos)
+    return _finish(ab, cd, left_pos, None, name, tail=tail)
 
 
 def _mergejoin(ab, cd, name):

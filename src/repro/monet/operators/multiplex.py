@@ -12,6 +12,14 @@ The fast path applies when all BAT operands are mutually *synced*
 alignment, and the whole multiplex is one vectorised numpy expression —
 this is why the kernel tracks ``synced`` through semijoin chains.
 
+A multiplex over a single var-sized column (strings) applies the
+function once per distinct value in the column's heap and gathers the
+results through the column's heap indices, when the heap holds no more
+entries than the column has rows (Q9's ``[contains]`` over 60k part
+names drawn from 2k distinct ones); a larger shared heap keeps the
+per-row path.  Functions are elementwise, so both give the same
+values.
+
 Scalar (non-BAT) arguments are broadcast, e.g. ``[-](1.0, discount)``.
 
 The function registry is extensible (:func:`register_function`),
@@ -82,12 +90,14 @@ def multiplex(fname, *operands, name=None):
         if all_synced and optimizer.dynamic or len(bats) == 1:
             optimizer.record("multiplex", "synced")
             head = first.head
-            head_positions = None
+            heap_indices = _heap_indices(bats)
             arrays = []
             for op in operands:
                 if hasattr(op, "head"):
                     manager.access_column(op.tail)
-                    arrays.append(op.tail.logical())
+                    arrays.append(op.tail.logical()
+                                  if heap_indices is None
+                                  else op.tail.heap.decode_table())
                 else:
                     arrays.append(op)
             hkey = first.props.hkey
@@ -108,12 +118,26 @@ def multiplex(fname, *operands, name=None):
             hkey = all(b.props.hkey for b in bats)
             hordered = first.props.hordered
             alignment = None
+            heap_indices = None
         result = func.impl(*arrays)
+        if heap_indices is not None:
+            result = np.asarray(result)[heap_indices]
     atom = _result_atom(func, operands)
     tail = _column_from_array(atom, result)
     props = Props(hkey=hkey, hordered=hordered)
     return result_bat(head, tail, name=name, props=props,
                       alignment=alignment)
+
+
+def _heap_indices(bats):
+    """The heap indices of a lone var-sized operand whose heap is no
+    larger than the column, or ``None`` for the per-row path."""
+    if len(bats) != 1 or not bats[0].tail.atom.varsized:
+        return None
+    column = bats[0].tail
+    if len(column.heap) > len(column):
+        return None
+    return column.indices
 
 
 def _align_on_heads(bats, manager):

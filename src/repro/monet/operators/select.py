@@ -111,4 +111,5 @@ def _select_binsearch(ab, low, high, name, low_inclusive, high_inclusive):
     out.props = ab.props.copy()
     if lo_pos == 0 and hi_pos == len(ab):
         out.alignment = ab.alignment
+        out.tail_alignment = ab.tail_alignment
     return out

@@ -77,10 +77,7 @@ def _membership_mask(ab, cd, manager):
 
 def _syncsemijoin(ab, name):
     # synced operands: every left BUN qualifies; return a copy
-    out = ab.take(np.arange(len(ab), dtype=np.int64), name=name,
-                  alignment=ab.alignment)
-    out.props = ab.props.copy()
-    return out
+    return ab.copy(name=name)
 
 
 def _hashsemijoin(ab, cd, name):
@@ -124,10 +121,7 @@ def _datavectorsemijoin(ab, cd, name):
     with manager.operator("semijoin.datavector"):
         extent_pos, _right_pos = registry.lookup(cd)
         head = registry.extent_column.take(extent_pos)
-        tail = accel.vector.take(extent_pos)
-        for heap in accel.vector.heaps:
-            width = getattr(heap, "width", None) or 4
-            manager.access_positions(heap, extent_pos, width)
+        tail = accel.fetch(extent_pos)
     props = Props(hkey=True, hordered=bool(cd.props.hordered))
     return result_bat(head, tail, name=name, props=props,
                       alignment=("dv", registry.class_name, cd.identity))

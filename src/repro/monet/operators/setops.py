@@ -96,10 +96,7 @@ def unique(ab, name=None):
     if optimizer.dynamic and (ab.props.hkey or ab.props.tkey):
         # a key column means no BUN can repeat: result = copy
         optimizer.record("unique", "noop")
-        out = ab.take(np.arange(len(ab), dtype=np.int64), name=name,
-                      alignment=ab.alignment)
-        out.props = ab.props.copy()
-        return out
+        return ab.copy(name=name)
     optimizer.record("unique", "hash")
     with manager.operator("unique"):
         manager.access_bat(ab)

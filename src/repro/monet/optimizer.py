@@ -11,9 +11,18 @@ the operand properties and accelerators); this module provides:
 * a process-global switch to disable property-driven dispatch (every
   operator then falls back to its generic hash/scan implementation),
   used by the ablation benchmark A2;
+* the ``verbatim`` switch for the paper's own artifacts.  By default
+  the MOA rewriter runs its plan passes (common-subexpression
+  elimination, then dead-code elimination; see
+  :func:`repro.moa.rewriter.rewrite`) and ``join`` may also pick the
+  property-driven ``positional`` and ``datavectorjoin`` variants.
+  Under ``verbatim`` no pass runs and ``join`` dispatches only among
+  fetch/merge/hash, so the Figure 9/10 plans and fault traces are
+  exactly those of the paper's translation;
 * recording of which implementation ran, so tests can assert that the
   expected variant was chosen and benchmarks can report dispatch
-  statistics.
+  statistics (``cse:removed`` / ``dce:removed`` count what the plan
+  passes dropped).
 """
 
 import contextlib
@@ -23,24 +32,23 @@ from collections import Counter
 class Optimizer:
     """Dispatch switch + per-implementation counters."""
 
-    def __init__(self, dynamic=True, eliminate_dead=False):
+    def __init__(self, dynamic=True, verbatim=False):
         #: When False, operators ignore properties/accelerators and use
         #: their generic implementation (ablation A2).
         self.dynamic = dynamic
-        #: When True, the rewriter drops MIL statements whose results
-        #: the result rep never observes (dead-code elimination driven
-        #: by the analysis layer's liveness pass).  Off by default:
-        #: the paper's plans are emitted verbatim unless asked.
-        self.eliminate_dead = eliminate_dead
+        #: When True, the rewriter emits the paper's plans as
+        #: translated (no CSE/DCE) and ``join`` keeps the paper's
+        #: fetch/merge/hash dispatch — see the module docstring.
+        self.verbatim = verbatim
         #: Counter of "op:impl" strings.
         self.stats = Counter()
         #: Most recent implementation per op, for tests.
         self.last = {}
 
-    def record_dce(self, removed):
-        """Note that dead-code elimination dropped ``removed`` stmts."""
+    def record_pass(self, name, removed):
+        """Note that plan pass ``name`` dropped ``removed`` stmts."""
         if removed:
-            self.stats["dce:removed"] += removed
+            self.stats["%s:removed" % name] += removed
 
     def record(self, op, impl):
         """Note that operator ``op`` executed implementation ``impl``."""

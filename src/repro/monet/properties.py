@@ -18,6 +18,15 @@ results with the same token, which is exactly the situation the paper
 exploits in the Q13 trace ("the Monet kernel knows that the BATs
 prices and discount are synced").
 
+A BAT also carries a ``tail_alignment`` token for its *tail* column,
+because the head of its mirror is that tail: ``b.mirror()`` takes
+``b.tail_alignment`` as its alignment (and ``b.alignment`` as its tail
+token).  Most operators mint a fresh tail token; only results whose
+tail is an operand's tail unchanged pass that operand's on (BUN-for-BUN
+copies such as sync semijoins and total selections, and positional
+joins), so two mirrors are synced only when their tails are known to
+be the same sequence — sharing a head token is not enough.
+
 :func:`verify` recomputes every declared property from the actual data
 and raises :class:`~repro.errors.PropertyError` on any mismatch; the
 test suite runs it after every operator.
@@ -35,13 +44,6 @@ _ALIGN_IDS = itertools.count(1)
 def fresh_alignment(tag="anon"):
     """A brand-new alignment token, synced with nothing else."""
     return (tag, next(_ALIGN_IDS))
-
-
-def mirror_alignment(token):
-    """Alignment of a BAT's mirror; an involution."""
-    if isinstance(token, tuple) and len(token) == 2 and token[0] == "mirror":
-        return token[1]
-    return ("mirror", token)
 
 
 def synced(left, right):

@@ -51,8 +51,9 @@ from . import parallel
 __all__ = [
     "MultiMap", "join_match", "membership_mask", "factorize",
     "joint_codes", "combine_codes", "combine_codes_pair",
-    "first_occurrence", "grouped_sum", "grouped_weighted_sum",
-    "grouped_weighted_sum_plan", "merge_match_segments",
+    "first_occurrence", "group_keys", "grouped_sum",
+    "grouped_weighted_sum", "grouped_weighted_sum_plan",
+    "merge_match_segments",
 ]
 
 
@@ -595,6 +596,33 @@ def first_occurrence(codes):
         return np.empty(0, dtype=np.int64)
     _uniq, first = np.unique(codes, return_index=True)
     return np.sort(first).astype(np.int64)
+
+
+def group_keys(keys):
+    """``(first_pos, codes, n_groups)`` of a grouping key array.
+
+    The groups are the distinct keys in ascending order: ``codes[i]``
+    is row ``i``'s group and ``first_pos[g]`` the first row of group
+    ``g`` — what ``np.unique(keys, return_index=True,
+    return_inverse=True)`` gives.  Integer keys over a compact domain
+    skip the sort: a first-occurrence scatter over the domain plus a
+    ``cumsum`` numbers the groups in O(n + domain).
+    """
+    keys = np.asarray(keys)
+    n = len(keys)
+    if n and keys.dtype.kind in "iu":
+        base = int(keys.min())
+        domain = int(keys.max()) - base + 1
+        if domain <= max(_DENSE_FLOOR, _DENSE_FACTOR * n):
+            offsets = keys.astype(np.int64) - base
+            first = np.full(domain, n, dtype=np.int64)
+            np.minimum.at(first, offsets, np.arange(n, dtype=np.int64))
+            present = first < n
+            table = np.cumsum(present) - 1
+            return first[present], table[offsets], int(table[-1]) + 1
+    _uniq, first_pos, codes = np.unique(keys, return_index=True,
+                                        return_inverse=True)
+    return first_pos, codes.astype(np.int64), len(first_pos)
 
 
 def grouped_sum(values, codes, n_groups):

@@ -12,7 +12,10 @@ catalog (the plan-building pattern of
 
 The property under test is *agreement*: for every generated plan —
 pristine or corrupted — the verifier rejects it **iff** the
-interpreter raises on it.  Pristine plans therefore cannot be
+interpreter raises on it.  Pristine plans also run in both optimizer
+modes — ``verbatim``, and the default one with the CSE + DCE plan
+passes applied and the property-driven join variants on — and must
+give the same BUNs.  Pristine plans therefore cannot be
 falsely rejected, and the corruptions (all statically certain
 failures) cannot be falsely accepted.  The same agreement direction
 that matters for the server (reject ⇒ raise) is also asserted for
@@ -25,9 +28,11 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.errors import ReproError
 from repro.monet import MILProgram, MonetKernel, Var
-from repro.monet import bat_from_columns_values
+from repro.monet import bat_from_columns_values, compute_props
 from repro.monet.mil import MILInterpreter
+from repro.monet.optimizer import Optimizer, use
 from repro.analysis.verify import (catalog_stats_from_kernel,
+                                   common_subexpressions, live_statements,
                                    verify_program)
 
 SETTINGS = dict(max_examples=40, deadline=None,
@@ -35,7 +40,7 @@ SETTINGS = dict(max_examples=40, deadline=None,
 
 #: catalog names by "kind" — plans are built to be type-correct, so
 #: every corruption is a deliberate, measurable deviation
-INT_BATS = ("Fuzz_qty", "Fuzz_price")
+INT_BATS = ("Fuzz_qty", "Fuzz_price", "Fuzz_keys")
 KEYED_BATS = ("Fuzz_rates",)
 STR_BATS = ("Fuzz_names",)
 
@@ -50,6 +55,12 @@ def _kernel():
         "int", [1, 2, 4, 5, 7, 9], "int", [10, 20, 40, 50, 70, 90]))
     kernel.register("Fuzz_names", bat_from_columns_values(
         "oid", list(range(4)), "string", ["a", "b", "bb", "c"]))
+    # declared key/ordered flags (unique tails) open the property
+    # driven join variants to the generated plans
+    keys = bat_from_columns_values("oid", list(range(6)), "int",
+                                   [9, 4, 7, 1, 5, 2])
+    keys.props = compute_props(keys)
+    kernel.register("Fuzz_keys", keys)
     return kernel
 
 
@@ -59,7 +70,8 @@ STATS = catalog_stats_from_kernel(KERNEL)
 #: step kinds a generated plan may chain; each consumes an (oid,int)
 #: BAT and produces another, so any step can feed any later step
 STEP_KINDS = ("select", "mirror_mirror", "join_rates", "unique",
-              "slice", "union_self", "difference_self")
+              "slice", "union_self", "difference_self", "recompute",
+              "self_join")
 
 
 def _emit_step(program, kind, source, lo, hi):
@@ -77,6 +89,17 @@ def _emit_step(program, kind, source, lo, hi):
         return program.emit("slice", [source, 0, max(lo, hi)])
     if kind == "union_self":
         return program.emit("union", [source, source])
+    if kind == "recompute":
+        # the same selection twice: a common subexpression
+        first = program.emit("select", [source, min(lo, hi), max(lo, hi)])
+        again = program.emit("select", [source, min(lo, hi), max(lo, hi)])
+        return program.emit("union", [first, again])
+    if kind == "self_join":
+        # the inner head is the outer tail BUN for BUN: positional
+        # when the source's tail is unique
+        values = program.emit("join", [program.emit("mirror", [source]),
+                                       source])
+        return program.emit("join", [source, values])
     return program.emit("difference", [source, source])
 
 
@@ -88,6 +111,22 @@ def _build_plan(base, steps):
         source = _emit_step(program, kind, source, lo, hi)
     program.emit("aggr_all", [source], fn="count", target="out")
     return program
+
+
+def _final_bat(program, verbatim):
+    """BUNs of the last step's BAT, run as the given optimizer mode
+    would: the default mode first applies the rewriter's passes."""
+    last = program.stmts[-2].target
+    if not verbatim:
+        stmts, renames = common_subexpressions(program)
+        last = renames.get(last, last)
+        program = MILProgram()
+        program.stmts = [stmts[i] for i in live_statements(
+            stmts, roots={"out", last})]
+    with use(Optimizer(verbatim=verbatim)):
+        interpreter = MILInterpreter(KERNEL)
+        interpreter.run(program)
+        return interpreter.value(last).to_pairs()
 
 
 def _executes(program):
@@ -127,6 +166,14 @@ def test_pristine_plans_are_never_falsely_rejected(base, steps):
         "\n".join(f.render() for f in
                   verify_program(program, catalog=STATS).findings)
     assert _executes(program)
+
+
+@given(st.sampled_from(INT_BATS), steps_strategy)
+@settings(**SETTINGS)
+def test_pristine_plans_agree_across_optimizer_modes(base, steps):
+    program = _build_plan(base, steps)
+    assert _final_bat(program, verbatim=False) \
+        == _final_bat(program, verbatim=True)
 
 
 @given(st.sampled_from(INT_BATS), steps_strategy, st.data())

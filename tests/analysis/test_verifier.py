@@ -168,6 +168,24 @@ def test_manifest_stats_match_kernel_stats(tiny_tpcd, tmp_path):
              expected.tordered), name
 
 
+def test_kernel_stats_computed_once_per_catalog_version():
+    k = MonetKernel()
+    k.register("Ver_a", bat_from_columns_values(
+        "oid", [0, 1], "int", [4, 2]))
+    first = catalog_stats_from_kernel(k)
+    again = catalog_stats_from_kernel(k)
+    assert again == first and again is not first   # callers own a copy
+    assert again["Ver_a"] is first["Ver_a"]          # not recomputed
+    k.register("Ver_b", bat_from_columns_values(
+        "oid", [0], "string", ["x"]))
+    assert set(catalog_stats_from_kernel(k)) == {"Ver_a", "Ver_b"}
+    k.drop("Ver_a")
+    before = catalog_stats_from_kernel(k)
+    assert set(before) == {"Ver_b"}
+    k.generation = 7                                 # a new generation
+    assert catalog_stats_from_kernel(k)["Ver_b"] is not before["Ver_b"]
+
+
 # ----------------------------------------------------------------------
 # the acceptance bar: every TPC-D plan verifies finding-free
 # ----------------------------------------------------------------------

@@ -91,7 +91,7 @@ def test_join_m_n():
 
 def test_join_dispatch_merge_and_hash():
     ab = _bat([(1, 10), (2, 20)])
-    sorted_cd = _bat([(10, 1), (20, 2)])
+    sorted_cd = _bat([(10, 1), (20, 2), (30, 3)])
     ops.join(ab, sorted_cd)
     assert get_optimizer().last["join"] == "mergejoin"
     unsorted_cd = bat_from_pairs("oid", "int", [(20, 2), (10, 1)])
@@ -107,6 +107,50 @@ def test_join_fetch_on_void_head():
     out = ops.join(ab, cd)
     assert get_optimizer().last["join"] == "fetchjoin"
     assert out.to_pairs() == [(7, "c"), (8, "a")]
+
+
+def test_join_positional_when_inner_head_is_outer_tail():
+    ab = _bat([(1, 10), (2, 20), (3, 15)])
+    cd = _bat([(10, 5), (20, 6), (15, 7)])
+    out = ops.join(ab, cd)
+    assert get_optimizer().last["join"] == "positional"
+    assert out.to_pairs() == [(1, 5), (2, 6), (3, 7)]
+    assert synced(out, ab)
+    verify(out)
+    with dispatch_disabled():
+        assert ops.join(ab, cd).to_pairs() == out.to_pairs()
+
+
+def test_join_positional_proven_by_tokens():
+    ab = _bat([(1, 10), (2, 20)])
+    members = ab.mirror()                  # [10, 1], [20, 2]
+    out = ops.join(ab, members)
+    assert get_optimizer().last["join"] == "positional"
+    assert out.to_pairs() == [(1, 1), (2, 2)]
+
+
+def test_join_positional_needs_unique_inner_head_and_no_float_keys():
+    ab = _bat([(1, 10), (2, 10)])
+    dup = bat_from_pairs("oid", "int", [(10, 7), (10, 8)])
+    dup.props = compute_props(dup)
+    out = ops.join(ab, dup)
+    assert get_optimizer().last["join"] != "positional"
+    assert out.to_pairs() == [(1, 7), (1, 8), (2, 7), (2, 8)]
+    nan = float("nan")
+    fab = _bat([(1, 1.5), (2, nan)], tail="dbl")
+    fcd = _bat([(1.5, 3), (nan, 4)], head="dbl")
+    out = ops.join(fab, fcd)
+    assert get_optimizer().last["join"] != "positional"
+    assert out.to_pairs() == [(1, 3)]
+
+
+def test_join_verbatim_keeps_the_paper_dispatch():
+    from repro.monet.optimizer import Optimizer, use
+    ab = _bat([(1, 10), (2, 20)])
+    cd = _bat([(10, 5), (20, 6)])
+    with use(Optimizer(verbatim=True)) as optimizer:
+        ops.join(ab, cd)
+        assert optimizer.last["join"] == "mergejoin"
 
 
 def test_join_total_match_is_synced_with_left():
@@ -182,6 +226,32 @@ def test_two_semijoins_same_right_are_synced():
     a = ops.semijoin(price, sel)
     b = ops.semijoin(disc, sel)
     assert synced(a, b)
+
+
+def test_mirrors_of_head_synced_bats_are_not_synced():
+    # same head sequence, different tails: the mirrors' heads differ
+    price = _bat([(1, 10), (2, 20), (3, 30)])
+    disc = _bat([(1, 1), (2, 2), (3, 3)])
+    disc.alignment = price.alignment
+    assert synced(price, disc)
+    assert not synced(price.mirror(), disc.mirror())
+    assert ops.semijoin(price.mirror(), disc.mirror()).to_pairs() == []
+    # a BUN-for-BUN copy keeps the tail token, so its mirror stays synced
+    copy = ops.semijoin(price, price)
+    assert synced(copy.mirror(), price.mirror())
+    assert synced(price.mirror().mirror(), price)
+
+
+def test_mirror_semijoin_tpcd_repro(tiny_tpcd_db):
+    kernel = tiny_tpcd_db.kernel
+    sel = ops.select_eq(kernel.get("Item_returnflag"), "R")
+    a = ops.semijoin(kernel.get("Item_returnflag"), sel)
+    b = ops.semijoin(kernel.get("Item_linestatus"), sel)
+    assert synced(a, b) and len(a) > 0
+    out = ops.semijoin(a.mirror(), b.mirror())
+    with dispatch_disabled():
+        reference = ops.semijoin(a.mirror(), b.mirror())
+    assert out.to_pairs() == reference.to_pairs() == []
 
 
 # ----------------------------------------------------------------------

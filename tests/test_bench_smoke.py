@@ -47,6 +47,12 @@ def test_quick_bench_writes_trajectory(tmp_path):
         assert entry["faults"] >= 0
         # tail-latency percentiles ride along with every median
         assert entry["p50_ms"] <= entry["p95_ms"] <= entry["p99_ms"]
+        assert entry["p25_ms"] <= entry["p50_ms"] <= entry["p75_ms"]
+        # the plan passes never grow a plan
+        assert 0 < entry["stmts"] <= entry["stmts_verbatim"]
+    assert sum(entry["stmts"] for entry in results["queries"].values()) \
+        < sum(entry["stmts_verbatim"]
+              for entry in results["queries"].values())
 
 
 def test_quick_bench_db_dir_warm_start(tmp_path):
