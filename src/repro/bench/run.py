@@ -14,8 +14,12 @@ repo's perf trajectory file.  Each operator entry records
   and reference kernels must agree before timings are recorded),
 * ``faults`` — simulated cold-cache page faults of the operator call.
 
-Query entries record median wall ms with its p25/p75 spread,
-simulated faults, result cardinality, and the MIL statement count of
+Query entries record median wall ms with its p25/p75 spread, the
+same under buffer accounting (``accounted_ms`` with
+``accounted_p25_ms``/``accounted_p75_ms``: every query run under one
+warm :class:`~repro.monet.buffer.BufferManager`, kept across queries
+the way a served worker keeps its own), simulated faults, result
+cardinality, and the MIL statement count of
 the query's plans with the default plan passes (``stmts``) and under
 ``verbatim`` (``stmts_verbatim``).  Two hard gates ride on them: the
 passes may never grow a plan, and every query's result checksum must
@@ -149,6 +153,21 @@ def _times_ms(fn, reps):
         started = time.perf_counter()
         fn()
         times.append((time.perf_counter() - started) * 1000.0)
+    return times
+
+
+def _accounted_times_ms(fn, reps, manager):
+    """``fn``'s wall times under ``manager``, run the way a served
+    worker runs a task: counters reset before, dead heaps forgotten
+    after (:func:`repro.monet.multiproc._run_task`)."""
+    times = []
+    with use_manager(manager):
+        for _ in range(reps):
+            manager.reset_counters()
+            started = time.perf_counter()
+            fn()
+            times.append((time.perf_counter() - started) * 1000.0)
+            manager.forget_dead_heaps()
     return times
 
 
@@ -1036,6 +1055,9 @@ def run(sf, reps, quick, out_path, db_dir=None, validate=False,
         if section is not None:
             results["parallel"] = section
 
+    #: one manager across the query set, kept the way a served worker
+    #: keeps its own: counters reset per query, dead heaps forgotten
+    worker_manager = BufferManager(page_size=PAGESIZE)
     for number in sorted(QUERIES):
         query = QUERIES[number]
         rows = query.run(db)
@@ -1046,6 +1068,8 @@ def run(sf, reps, quick, out_path, db_dir=None, validate=False,
         else:
             shape = len(rows)
         times = _times_ms(lambda q=query: q.run(db), reps)
+        accounted = _accounted_times_ms(
+            lambda q=query: q.run(db), reps, worker_manager)
         checksum = result_checksum(ship_value(rows))
         with use(Optimizer(verbatim=True)):
             verbatim_checksum = result_checksum(ship_value(query.run(db)))
@@ -1072,6 +1096,10 @@ def run(sf, reps, quick, out_path, db_dir=None, validate=False,
         # the spread and tail over the reps beside the median
         entry.update({"%s_ms" % name: value for name, value
                       in percentiles(times, (25, 50, 75, 95, 99)).items()})
+        spread = percentiles(accounted, (25, 50, 75))
+        entry.update(accounted_ms=spread["p50"],
+                     accounted_p25_ms=spread["p25"],
+                     accounted_p75_ms=spread["p75"])
         results["queries"][str(number)] = entry
 
     results["analysis"] = _analysis_section(db, results["queries"])
@@ -1272,6 +1300,12 @@ def main(argv=None):
              slowest[1]["median_ms"],
              sum(entry["stmts"] for entry in results["queries"].values()),
              sum(entry["stmts_verbatim"]
+                 for entry in results["queries"].values())))
+    print("  buffer accounting: %.1f ms accounted vs %.1f ms plain "
+          "(summed query medians)"
+          % (sum(entry["accounted_ms"]
+                 for entry in results["queries"].values()),
+             sum(entry["median_ms"]
                  for entry in results["queries"].values())))
     section = results["analysis"]
     print("  analysis: %d plans (%d stmts) verified clean in %.2f ms "

@@ -22,6 +22,7 @@ guarded by the kernel") and are used by tests.
 """
 
 import itertools
+import weakref
 
 import numpy as np
 
@@ -38,7 +39,8 @@ class BAT:
     """A Binary Association Table over two :class:`Column` objects."""
 
     __slots__ = ("head", "tail", "props", "alignment", "tail_alignment",
-                 "name", "accel", "identity", "_mirror_cache")
+                 "name", "accel", "identity", "_mirror_cache",
+                 "__weakref__")
 
     def __init__(self, head, tail, name=None, props=None, alignment=None,
                  tail_alignment=None):
@@ -84,16 +86,26 @@ class BAT:
         tokens with them, so ``b.mirror().mirror()`` is synced with
         ``b``, and two mirrors are synced only when the tails they
         came from are.
+
+        A BAT keeps its mirror alive; the mirror points back through a
+        weak reference, so the pair is no reference cycle and a dead
+        intermediate is freed at once rather than by the cycle
+        collector.  The mirror of a mirror whose source has died is
+        rebuilt over the same columns and tokens.
         """
-        if self._mirror_cache is None:
-            out = BAT(self.tail, self.head,
-                      name=None if self.name is None else self.name + ".mirror",
-                      props=self.props.swapped(),
-                      alignment=self.tail_alignment,
-                      tail_alignment=self.alignment)
-            out._mirror_cache = self
-            self._mirror_cache = out
-        return self._mirror_cache
+        cached = self._mirror_cache
+        if isinstance(cached, weakref.ref):
+            cached = cached()
+        if cached is None:
+            cached = BAT(self.tail, self.head,
+                         name=None if self.name is None
+                         else self.name + ".mirror",
+                         props=self.props.swapped(),
+                         alignment=self.tail_alignment,
+                         tail_alignment=self.alignment)
+            cached._mirror_cache = weakref.ref(self)
+            self._mirror_cache = cached
+        return cached
 
     # ------------------------------------------------------------------
     # access helpers

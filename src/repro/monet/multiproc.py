@@ -404,6 +404,9 @@ def _run_task(task):
         else _STATE["kernel"]
     generation = opened.generation if opened is not None \
         else _STATE["generation"]
+    # the manager lives as long as the worker: drop the page state of
+    # this task's dead intermediates, or it piles up request by request
+    manager.forget_dead_heaps()
     return TaskOutcome(key, checksum, payload, elapsed_ms,
                        manager.snapshot(), generation,
                        os.getpid(), extra=extra)

@@ -145,6 +145,30 @@ def test_mirror_alignment_involution():
     assert bat.mirror().mirror().alignment == bat.alignment
 
 
+def test_mirror_pair_is_no_reference_cycle():
+    """A mirror refers back to its source weakly: a dead intermediate
+    is freed at once, not left to the cycle collector, and its
+    surviving mirror rebuilds an equivalent source on demand."""
+    import gc
+    import weakref
+    bat = bat_from_pairs("oid", "int", [(1, 10), (2, 20)])
+    mirrored = bat.mirror()
+    source = weakref.ref(bat)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del bat
+        assert source() is None
+    finally:
+        if enabled:
+            gc.enable()
+    rebuilt = mirrored.mirror()
+    assert rebuilt.to_pairs() == [(1, 10), (2, 20)]
+    assert rebuilt.head is mirrored.tail and rebuilt.tail is mirrored.head
+    assert rebuilt.alignment == mirrored.tail_alignment
+    assert mirrored.mirror() is rebuilt
+
+
 def test_empty_bat():
     bat = empty_bat("oid", "double")
     assert len(bat) == 0

@@ -16,8 +16,9 @@ import pytest
 from repro.errors import (MILError, QueryTimeoutError,
                           StaleCatalogError, WorkerCrashedError)
 from repro.monet import (MILProgram, MonetKernel, MultiprocExecutor,
-                         Var, result_checksum, run_program_serial,
-                         ship_value)
+                         Var, get_manager, result_checksum,
+                         run_program_serial, ship_value)
+from repro.monet.multiproc import register_task_kind
 from repro.server.tasks import run_queries
 from repro.tpcd import QUERIES, load_tpcd, open_tpcd
 
@@ -281,3 +282,32 @@ def test_result_checksum_distinguishes_types():
 def test_result_checksum_rejects_unknown_types():
     with pytest.raises(TypeError):
         result_checksum(object())
+
+
+# ----------------------------------------------------------------------
+# the worker's buffer manager across tasks
+# ----------------------------------------------------------------------
+def _task_resident_pages(ctx, task):
+    return ship_value(get_manager().resident_pages()), None
+
+
+# registered before any executor forks, so every worker inherits it
+register_task_kind("resident_pages", _task_resident_pages)
+
+
+def _worker_resident_pages(pool):
+    return pool.submit(("resident_pages", "r")).result(timeout=60) \
+        .value()["value"]
+
+
+def test_worker_resident_set_stays_flat_across_tasks(db_dir):
+    """The worker's manager outlives every task; the pages of a task's
+    dead intermediates must be forgotten at the task boundary, so the
+    resident set after N rounds equals the one after the first."""
+    with MultiprocExecutor(db_dir, procs=1, task_modules=TASKS) as pool:
+        run_queries(pool, QUERY_SLICE)
+        after_one = _worker_resident_pages(pool)
+        for _ in range(3):
+            run_queries(pool, QUERY_SLICE)
+        assert _worker_resident_pages(pool) == after_one
+    assert after_one > 0
