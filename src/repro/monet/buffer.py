@@ -35,11 +35,9 @@ pages it touches: a page range for scans and probes, or, for a gather,
 size of the heap.  The touch itself is one gather of those pages'
 clocks, one ``count_nonzero`` and one assignment — O(distinct pages)
 of vectorised work, whatever the number of entries a gather reads.
-Two kinds of touch walk the pages one at a time instead: short ones
-(at most :data:`WALK_PAGES` pages), where a few scalar steps cost less
-than the vectorised calls, and those that would push the resident set
-past ``memory_pages``, which order the resident pages by
-``(tick, page)`` and evict the oldest one page at a time.
+Only a touch that would push the resident set past ``memory_pages``
+walks its pages one at a time: it orders the resident pages by
+``(tick, page)`` and evicts the oldest one page at a time.
 
 **Task boundaries.**  Page state outlives the heap it describes, so a
 long-lived manager (each worker of :mod:`repro.monet.multiproc` keeps
@@ -47,7 +45,8 @@ one across tasks) calls :meth:`BufferManager.forget_dead_heaps` between
 tasks: heaps that no longer exist — dead intermediates, told apart by
 a weak reference — lose their state, while live base heaps and
 accelerators keep theirs.  A dead heap is never touched again, so on
-an unbounded manager no count changes.
+an unbounded manager no fault, hit or eviction count changes; its
+``track_pages`` record is dropped with it.
 
 A process-global *current* manager (default: disabled, zero overhead)
 is installed with :func:`use` or :func:`set_manager`.
@@ -57,11 +56,6 @@ import contextlib
 import weakref
 
 import numpy as np
-
-#: Touches of at most this many pages (and gathers of at most this many
-#: entries) take the scalar per-page path: below it, a few Python steps
-#: cost less than the fixed overhead of the vectorised calls.
-WALK_PAGES = 8
 
 
 class BufferStats:
@@ -224,8 +218,7 @@ class BufferManager:
 
     def _touch(self, heap, pages, lo, hi):
         """Touch ``pages`` of one heap: a ``range`` or an ascending
-        sequence (list or array) of distinct page numbers, all within
-        ``lo .. hi-1``.
+        array of distinct page numbers, all within ``lo .. hi-1``.
 
         Cold pages of *persistent* heaps fault; cold pages of
         transient heaps (intermediate results) are free the first time
@@ -242,13 +235,6 @@ class BufferManager:
                 state.touched = np.zeros(len(state.clock), dtype=bool)
             touched = state.touched
         base = state.base
-        if len(pages) <= WALK_PAGES:
-            if isinstance(pages, np.ndarray):
-                pages = pages.tolist()
-            if base:
-                pages = [page - base for page in pages]
-            self._walk(state, pages, persistent, touched)
-            return
         if isinstance(pages, range):
             index = slice(pages.start - base, pages.stop - base, pages.step)
         else:
@@ -281,12 +267,11 @@ class BufferManager:
     def _walk(self, state, index, persistent, touched):
         """Touch ``index`` of ``state`` one page at a time, in order.
 
-        The path of short touches, where a few scalar steps beat the
-        fixed cost of the vectorised ones, and of touches that overflow
-        the budget: each page entering the resident set past
-        ``memory_pages`` evicts the least recently used page — the
-        oldest page this touch has not reached yet, or once those are
-        gone, this touch's own pages in the order it touched them.
+        The path of touches that overflow the budget: each page
+        entering the resident set past ``memory_pages`` evicts the
+        least recently used page — the oldest page this touch has not
+        reached yet, or once those are gone, this touch's own pages in
+        the order it touched them.
         """
         budget = self.memory_pages
         tick = self._tick
@@ -307,8 +292,6 @@ class BufferManager:
                 state.resident += 1
                 self._resident += 1
             clock[page] = tick
-            if budget is None:
-                continue
             own.append(page)
             if self._resident <= budget:
                 continue
@@ -383,12 +366,6 @@ class BufferManager:
             return
         if positions.dtype.kind != "i":
             positions = positions.astype(np.int64)
-        if positions.size <= WALK_PAGES:
-            page_size = self.page_size
-            pages = sorted({position * width // page_size
-                            for position in positions.tolist()})
-            self._touch(heap, pages, pages[0], pages[-1] + 1)
-            return
         if self.page_size % width == 0:
             # floor(p * w / B) == floor(p / (B / w)) when w divides B
             pages = positions // (self.page_size // width)
@@ -512,19 +489,20 @@ class BufferManager:
         state.resident = 0
 
     def forget_dead_heaps(self):
-        """Drop the page state of heaps that no longer exist.
+        """Drop the whole page state of heaps that no longer exist.
 
-        Meant for task boundaries of a long-lived manager: a dead heap
-        is never touched again, so on an unbounded manager this changes
-        no count, only :meth:`resident_pages` (under a budget it frees
-        the dead pages' share of it).  Returns the number of heaps
-        forgotten.
+        Meant for task boundaries of a long-lived manager.  A dead heap
+        is never touched again, so no fault, hit or eviction is counted
+        and, on an unbounded manager, no later count changes; its pages
+        leave :meth:`resident_pages` (under a budget they stop taking a
+        share of it).  Its ``track_pages`` record goes too: the heap
+        drops out of :attr:`heap_pages` and :meth:`touched_page_counts`
+        before the next :meth:`reset_counters`.
         """
         dead = [heap_id for heap_id, state in self._pages.items()
                 if state.ref is not None and state.ref() is None]
         for heap_id in dead:
             self._resident -= self._pages.pop(heap_id).resident
-        return len(dead)
 
     def resident_pages(self):
         return self._resident

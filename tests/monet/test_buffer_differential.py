@@ -6,9 +6,10 @@ buffer manager used to be: one ``OrderedDict`` of ``(heap_id, page)``
 keys in LRU order, one Python step per touched page, and a set of
 spilled transient pages.  Hypothesis drives random sequences of every
 access pattern and lifecycle call through both — persistent and
-transient heaps, heaps that grow or turn persistent, nested operator
-labels, ``track_pages``, and budgets of None, 1, 4 and 40 pages — and
-every counter and the resident-set size must agree after every step.
+transient heaps, heaps that grow, turn persistent or die and are
+forgotten, nested operator labels, ``track_pages``, and budgets of
+None, 1, 4 and 40 pages — and every counter and the resident-set size
+must agree after every step.
 """
 
 import contextlib
@@ -16,10 +17,8 @@ from collections import OrderedDict
 
 import hypothesis.strategies as st
 import numpy as np
-import pytest
 from hypothesis import given, settings
 
-from repro.monet import buffer
 from repro.monet.buffer import BufferManager
 from repro.monet.heap import FixedHeap
 
@@ -127,6 +126,18 @@ class ReferenceBufferManager:
                 self._spilled.add(key)
         self.evictions += len(doomed)
 
+    def forget(self, heap_ids):
+        """Drop every trace of the dead heaps ``heap_ids``: resident
+        and spilled pages leave without an eviction, and their
+        ``track_pages`` records go too."""
+        dead = set(heap_ids)
+        for key in [key for key in self._resident if key[0] in dead]:
+            del self._resident[key]
+        self._spilled = {key for key in self._spilled
+                         if key[0] not in dead}
+        for heap_id in dead:
+            self.heap_pages.pop(heap_id, None)
+
     def resident_pages(self):
         return len(self._resident)
 
@@ -165,6 +176,8 @@ _lifecycle = st.one_of(
     st.tuples(st.just("reset")),
     st.tuples(st.just("persist"), _heap),
     st.tuples(st.just("grow"), _heap, st.integers(1, 40)),
+    st.tuples(st.just("drop"), _heap),
+    st.tuples(st.just("forget")),
 )
 #: mostly accesses: a lifecycle call every fourth step on average
 _step = st.one_of(_access, _access, _access, _lifecycle)
@@ -193,14 +206,26 @@ def _apply(manager, heaps, step):
         manager.reset_counters()
 
 
-def _mutate_heap(heaps, step):
+def _new_heap(size, persistent):
+    heap = FixedHeap(np.zeros(size, dtype=np.int32), 4)
+    heap.persistent = persistent
+    return heap
+
+
+def _mutate_heap(heaps, dead, step):
     """Heap changes both managers observe: turning persistent (a saved
-    intermediate) and growing (an appended heap)."""
+    intermediate), growing (an appended heap) and dying (a freed
+    intermediate, replaced by a fresh heap; ``dead`` collects the ids
+    the next ``forget`` step hands the reference model)."""
     if step[0] == "persist":
         heaps[step[1]].persistent = True
     elif step[0] == "grow":
         heap = heaps[step[1]]
         heap.data = np.zeros(len(heap.data) + step[2], dtype=np.int32)
+    elif step[0] == "drop":
+        heap = heaps[step[1]]
+        dead.append(heap.heap_id)
+        heaps[step[1]] = _new_heap(len(heap.data), heap.persistent)
 
 
 def _observed(manager):
@@ -208,12 +233,6 @@ def _observed(manager):
             manager.op_faults, manager.resident_pages())
 
 
-#: the scalar per-page path everywhere, nowhere, and at its default
-#: threshold: both paths must match the model on their own
-WALK_SETTINGS = [0, buffer.WALK_PAGES, 10 ** 9]
-
-
-@pytest.mark.parametrize("walk_pages", WALK_SETTINGS)
 @settings(max_examples=100, deadline=None)
 @given(budget=st.sampled_from([None, 1, 4, 40]),
        track=st.booleans(),
@@ -222,28 +241,21 @@ WALK_SETTINGS = [0, buffer.WALK_PAGES, 10 ** 9]
        sizes=st.lists(st.integers(0, 40), min_size=N_HEAPS,
                       max_size=N_HEAPS),
        steps=st.lists(_step, min_size=20, max_size=60))
-def test_buffer_manager_matches_reference_model(walk_pages, budget, track,
-                                                persistent, sizes, steps):
-    default, buffer.WALK_PAGES = buffer.WALK_PAGES, walk_pages
-    try:
-        _check_against_reference(budget, track, persistent, sizes, steps)
-    finally:
-        buffer.WALK_PAGES = default
-
-
-def _check_against_reference(budget, track, persistent, sizes, steps):
-    heaps = []
-    for flag, size in zip(persistent, sizes):
-        heap = FixedHeap(np.zeros(size, dtype=np.int32), 4)
-        heap.persistent = flag
-        heaps.append(heap)
+def test_buffer_manager_matches_reference_model(budget, track, persistent,
+                                                sizes, steps):
+    heaps = [_new_heap(size, flag) for flag, size in zip(persistent, sizes)]
+    dead = []
     manager = BufferManager(page_size=PAGE_SIZE, memory_pages=budget,
                             track_pages=track)
     reference = ReferenceBufferManager(page_size=PAGE_SIZE,
                                        memory_pages=budget,
                                        track_pages=track)
     for number, step in enumerate(steps):
-        _mutate_heap(heaps, step)
+        _mutate_heap(heaps, dead, step)
+        if step[0] == "forget":
+            manager.forget_dead_heaps()
+            reference.forget(dead)
+            dead.clear()
         _apply(manager, heaps, step)
         _apply(reference, heaps, step)
         assert _observed(manager) == _observed(reference), (number, step)
